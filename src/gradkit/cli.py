@@ -21,7 +21,7 @@ from .generators import FAMILIES, GeneratorSpec, lex_product_kc
 from .gradoracle import ball_family, evaluate_family, grad
 from .harness import run_suite
 from .orientation import orient
-from .patterns import count_isomorphs, list_isomorphs, make_pattern
+from .patterns import check_restriction, count_isomorphs, list_isomorphs, make_pattern
 from .separator import (
     Separator,
     parse_expansion,
@@ -119,10 +119,12 @@ def _cmd_count(args, cfg) -> int:
     H = textio.read_graph(args.pattern)
     pat = make_pattern(H, limit=cfg.pattern_limit)
     S = textio.read_vertex_set(args.restrict) if args.restrict else None
-    report = count_isomorphs(G, pat, S)
+    check_restriction(G, S)
+    col = low_tdepth_coloring(G, pat.graph.n + 1, certify_limit=cfg.certification_limit)
+    report = count_isomorphs(G, pat, S, coloring=col)
     print(f"count {report.total}")
     if args.list:
-        for (verts, edges) in list_isomorphs(G, pat, S):
+        for (verts, edges) in list_isomorphs(G, pat, S, coloring=col):
             vtxt = " ".join(str(v) for v in verts)
             etxt = " ".join("-".join(str(x) for x in sorted(e)) for e in sorted(edges, key=sorted))
             print(f"{vtxt} ; {etxt}")

@@ -188,15 +188,18 @@ def induced_subgraph(G: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     """Induced subgraph on the given vertices, relabelled to 1..k.
 
     Returns (subgraph, ids) where ids[i-1] is the original id of vertex i.
+    The subgraph is read off G.adj, so the cost is the degree sum over the
+    given vertices (plus sorting them), not the size of G.  Relabelling
+    keeps the order, so the adjacency tuples and the edge list come out
+    sorted.
     """
     ids = sorted(set(vertices))
     for v in ids:
         _check_vertex(v, G.n, "induced_subgraph")
-    index = {v: i + 1 for i, v in enumerate(ids)}
-    sub_edges = [
-        (index[u], index[v]) for (u, v) in G.edges if u in index and v in index
-    ]
-    return build_graph(len(ids), sub_edges), tuple(ids)
+    index = {v: i for i, v in enumerate(ids, 1)}
+    adj = [()] + [tuple(index[w] for w in G.adj[v] if w in index) for v in ids]
+    edges = tuple((i, j) for i in range(1, len(ids) + 1) for j in adj[i] if j > i)
+    return Graph(n=len(ids), m=len(edges), edges=edges, adj=tuple(adj)), tuple(ids)
 
 
 def connected_components(G: Graph, within: Iterable[int] | None = None) -> list[list[int]]:

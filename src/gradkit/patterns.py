@@ -1,11 +1,17 @@
 """Counting, listing and deciding small-pattern containment.
 
 The counting pipeline colours the host graph so that any h colour classes
-induce a subgraph of tree-depth at most h, counts pattern copies inside
-each union of at most h classes by dynamic programming over the
-elimination-forest tree-decomposition, and combines the per-subset counts
-by inclusion-exclusion so every copy is counted exactly once (a copy on h
-vertices meets at most h colour classes).
+induce a subgraph of tree-depth at most h.  A copy of a connected pattern
+on h vertices meets at most h colour classes, and the classes it meets are
+connected in the colour quotient graph (colours adjacent when some host
+edge joins their classes), so only those colour sets are visited: each
+connected set C of at most h colours once, with the union of its classes
+built from the class lists and the host adjacency.  Copies inside a union
+are counted by dynamic programming over the elimination-forest
+tree-decomposition, and a Moebius pass over the connected colour sets
+turns the per-union counts into counts per exact colour set, so every copy
+is counted exactly once.  Counting only the copies that meet a vertex set
+S takes count(union) - count(union - S) on each union that meets S.
 
 "Copy" means a distinct subgraph of the host isomorphic to the pattern:
 injective homomorphisms divided by the pattern's automorphism count.
@@ -16,9 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from typing import Iterator
 
 from .coloring import Coloring, centered_to_forest, low_tdepth_coloring
-from .core import Graph, build_graph, connected_components, induced_subgraph, is_connected
+from .core import (
+    Graph,
+    _check_vertex,
+    build_graph,
+    connected_components,
+    induced_subgraph,
+    is_connected,
+)
 from .errors import DomainError, NotCenteredError, PatternError
 from .forests import TreeDecomposition, dfs_forest, forest_to_decomposition, validate_decomposition
 
@@ -177,20 +191,75 @@ def count_on_decomposition(
     return embeddings // pat.aut_count
 
 
-def _restrict_coloring(col: Coloring, ids: tuple[int, ...]) -> Coloring:
-    colors = (0,) + tuple(col.colors[v] for v in ids)
-    return Coloring(colors=colors, num_colors=col.num_colors)
+def _color_classes(G: Graph, col: Coloring) -> tuple[dict[int, list[int]], dict[int, set[int]]]:
+    """Sorted vertex list of every used colour, and the colour quotient
+    adjacency: colours c != d are adjacent when a host edge joins their
+    classes."""
+    colors = col.colors
+    classes: dict[int, list[int]] = {}
+    for v in range(1, G.n + 1):
+        classes.setdefault(colors[v], []).append(v)
+    quotient: dict[int, set[int]] = {c: set() for c in classes}
+    for (u, v) in G.edges:
+        if colors[u] != colors[v]:
+            quotient[colors[u]].add(colors[v])
+            quotient[colors[v]].add(colors[u])
+    return classes, quotient
 
 
-def _count_in_union(sub: Graph, subcol: Coloring, pat: Pattern) -> int:
-    """Count pattern copies in one colour-class union.
+def _connected_color_sets(quotient: dict[int, set[int]], k: int) -> Iterator[frozenset[int]]:
+    """Every colour set of size <= k that is connected in the quotient, once.
+
+    ESU-style: the sets whose least colour is root grow from root through
+    quotient neighbours greater than root, and a branch never takes a
+    colour that an earlier sibling branch took, so no set is reached twice.
+    """
+
+    def extend(chosen: frozenset[int], frontier: set[int], banned: frozenset[int], root: int):
+        yield chosen
+        if len(chosen) == k:
+            return
+        for c in sorted(frontier - banned):
+            grown = chosen | {c}
+            reach = (frontier | {d for d in quotient[c] if d > root}) - grown
+            yield from extend(grown, reach, banned, root)
+            banned = banned | {c}
+
+    for root in sorted(quotient):
+        yield from extend(
+            frozenset((root,)), {d for d in quotient[root] if d > root}, frozenset(), root
+        )
+
+
+def _connected_unions(
+    G: Graph, col: Coloring, h: int, S: frozenset[int] | None
+) -> Iterator[tuple[frozenset[int], list[int]]]:
+    """(C, sorted union of the classes of C) for every connected colour set
+    C of size <= h whose union has at least h vertices and meets S, if S
+    is given.  Every other colour set holds no copy (meeting S)."""
+    classes, quotient = _color_classes(G, col)
+    for C in _connected_color_sets(quotient, h):
+        verts = sorted(v for c in C for v in classes[c])
+        if len(verts) < h:
+            continue
+        if S is not None and not any(v in S for v in verts):
+            continue
+        yield C, verts
+
+
+def _count_in_union(G: Graph, verts: list[int], col: Coloring, pat: Pattern) -> int:
+    """Count pattern copies in G[verts].
 
     The restricted coloring is centered there whenever the source coloring
     is p-centered; if it is not (large graphs are colored on trust), fall
     back to a DFS forest, which is always a valid elimination forest.
     """
-    if sub.n < pat.graph.n or sub.m < pat.graph.m:
+    if len(verts) < pat.graph.n:
         return 0
+    sub, ids = induced_subgraph(G, verts)
+    if sub.m < pat.graph.m:
+        return 0
+    subcol = Coloring(colors=(0,) + tuple(col.colors[v] for v in ids), num_colors=col.num_colors)
     try:
         forest = centered_to_forest(sub, subcol)
     except NotCenteredError:
@@ -199,35 +268,40 @@ def _count_in_union(sub: Graph, subcol: Coloring, pat: Pattern) -> int:
     return count_on_decomposition(sub, T, pat, validate=False, width_limit=max(32, sub.n))
 
 
-def _exact_counts(G: Graph, pat: Pattern, col: Coloring) -> dict[frozenset[int], int]:
-    """Copy counts per exact colour set, via inclusion-exclusion."""
-    h = pat.graph.n
-    by_color: dict[int, list[int]] = {}
-    for v in range(1, G.n + 1):
-        by_color.setdefault(col.colors[v], []).append(v)
-    used = sorted(by_color)
-    subsetcount: dict[frozenset[int], int] = {frozenset(): 0}
-    for size in range(1, min(h, len(used)) + 1):
-        for C in combinations(used, size):
-            verts = [v for c in C for v in by_color[c]]
-            key = frozenset(C)
-            if len(verts) < h:
-                subsetcount[key] = 0
-                continue
-            sub, ids = induced_subgraph(G, verts)
-            subsetcount[key] = _count_in_union(sub, _restrict_coloring(col, ids), pat)
+def _exact_counts(
+    G: Graph, pat: Pattern, col: Coloring, S: frozenset[int] | None = None
+) -> dict[frozenset[int], int]:
+    """Copy counts (of copies meeting S, if given) per exact colour set.
+
+    Only colour sets connected in the quotient are visited: the colours of
+    a copy of a connected pattern are.  A union's count is the sum of the
+    exact counts of the colour sets inside it, so a Moebius pass in order
+    of size gives exact[C] = count(union of C) - sum of exact[C'] over the
+    proper connected subsets C' of C; a disconnected colour set holds no
+    copy.  With S, each union that meets S contributes
+    count(union) - count(union - S), the copies in it that meet S.
+    """
+    union_counts: dict[frozenset[int], int] = {}
+    for C, verts in _connected_unions(G, col, pat.graph.n, S):
+        k = _count_in_union(G, verts, col, pat)
+        if S is not None:
+            k -= _count_in_union(G, [v for v in verts if v not in S], col, pat)
+        union_counts[C] = k
     exact: dict[frozenset[int], int] = {}
-    for C, _ in subsetcount.items():
-        if not C:
-            continue
-        total = 0
-        cl = sorted(C)
-        for r in range(len(cl) + 1):
-            sign = -1 if (len(cl) - r) % 2 else 1
-            for sub_c in combinations(cl, r):
-                total += sign * subsetcount[frozenset(sub_c)]
-        exact[C] = total
+    for C in sorted(union_counts, key=len):
+        members = sorted(C)
+        exact[C] = union_counts[C] - sum(
+            exact.get(frozenset(sub), 0)
+            for r in range(1, len(members))
+            for sub in combinations(members, r)
+        )
     return exact
+
+
+def check_restriction(G: Graph, S: frozenset[int] | None) -> None:
+    """Raise InputError if S has a vertex outside 1..n."""
+    for v in S or ():
+        _check_vertex(v, G.n, "restriction set")
 
 
 def count_isomorphs(
@@ -240,25 +314,17 @@ def count_isomorphs(
 ) -> CountReport:
     """Count distinct copies of H in G, optionally only those meeting S.
 
-    The S-restricted count is count(G) - count(G - S), evaluated with the
-    same coloring on both sides so the per-colour-set breakdown subtracts
-    cleanly.  With include_listing the report also carries every copy.
+    The report splits the total by the exact colour set of each copy.
+    With include_listing it also carries every copy, listed with the same
+    coloring.  Vertices of S outside 1..n raise InputError.
     """
     pat = H if isinstance(H, Pattern) else make_pattern(H)
+    check_restriction(G, S)
     col = coloring if coloring is not None else low_tdepth_coloring(G, pat.graph.n + 1)
-    exact = _exact_counts(G, pat, col)
-    if S is not None:
-        rest = [v for v in range(1, G.n + 1) if v not in S]
-        Gr, ids = induced_subgraph(G, rest)
-        exact_rest = _exact_counts(Gr, pat, _restrict_coloring(col, ids))
-        exact = {
-            C: exact.get(C, 0) - exact_rest.get(C, 0)
-            for C in set(exact) | set(exact_rest)
-        }
-    total = sum(exact.values())
+    exact = _exact_counts(G, pat, col, S)
     listing = list_isomorphs(G, pat, S, coloring=col) if include_listing else None
     return CountReport(
-        total=total,
+        total=sum(exact.values()),
         by_color_subset={C: v for C, v in exact.items() if v},
         listing=listing,
     )
@@ -326,35 +392,30 @@ def list_isomorphs(
     *,
     coloring: Coloring | None = None,
 ) -> tuple[Copy, ...]:
-    """Every copy exactly once, in sorted order.
+    """Every copy (meeting S, if given) exactly once, in sorted order.
 
-    A copy is (sorted vertex tuple, edge set).  Each copy is emitted from
-    the one colour subset that equals its exact colour set.
+    A copy is (sorted vertex tuple, edge set).  The colour sets visited are
+    those of the counting pass: the connected colour sets of size <= h
+    whose union meets S.  Each copy is emitted from the one colour set that
+    equals its exact colour set.  Vertices of S outside 1..n raise
+    InputError.
     """
     pat = H if isinstance(H, Pattern) else make_pattern(H)
+    check_restriction(G, S)
     h = pat.graph.n
     col = coloring if coloring is not None else low_tdepth_coloring(G, h + 1)
-    by_color: dict[int, list[int]] = {}
-    for v in range(1, G.n + 1):
-        by_color.setdefault(col.colors[v], []).append(v)
-    used_colors = sorted(by_color)
     found: set[Copy] = set()
-    for size in range(1, min(h, len(used_colors)) + 1):
-        for C in combinations(used_colors, size):
-            want = frozenset(C)
-            verts = [v for c in C for v in by_color[c]]
-            if len(verts) < h:
+    for C, verts in _connected_unions(G, col, h, S):
+        sub, ids = induced_subgraph(G, verts)
+        if sub.m < pat.graph.m:
+            continue
+        for img in _embeddings_in(sub, pat):
+            orig = [ids[u - 1] for u in img]
+            if frozenset(col.colors[v] for v in orig) != C:
                 continue
-            sub, ids = induced_subgraph(G, verts)
-            if sub.m < pat.graph.m:
+            if S is not None and not any(v in S for v in orig):
                 continue
-            for img in _embeddings_in(sub, pat):
-                orig = [ids[u - 1] for u in img]
-                if frozenset(col.colors[v] for v in orig) != want:
-                    continue
-                if S is not None and not any(v in S for v in orig):
-                    continue
-                found.add(_copy_of(img, pat, ids))
+            found.add(_copy_of(img, pat, ids))
     return tuple(sorted(found, key=lambda c: (c[0], sorted(tuple(sorted(e)) for e in c[1]))))
 
 

@@ -6,7 +6,9 @@ from gradkit.cli import main
 from gradkit.config import Config, load_config, resolve_config
 from gradkit.errors import InputError
 from gradkit import textio
+from gradkit.coloring import low_tdepth_coloring
 from gradkit.generators import clique, grid, path
+from gradkit.oracles import brute_count_hitting
 
 
 @pytest.fixture
@@ -107,6 +109,50 @@ def test_count_restricted(tmp_path, capsys):
     s.write_text("1\n")
     assert main(["count", str(g), "--pattern", str(pat), "--restrict", str(s)]) == 0
     assert "count 3" in capsys.readouterr().out
+
+
+def test_count_restricted_out_of_range_exit_2(tmp_path, capsys, monkeypatch):
+    import gradkit.cli as cli
+
+    g = tmp_path / "p4.txt"
+    g.write_text(textio.graph_to_text(path(4)))
+    pat = tmp_path / "p2.txt"
+    pat.write_text(textio.graph_to_text(path(2)))
+    s = tmp_path / "s.txt"
+    s.write_text("99\n")
+
+    def coloring(*a, **kw):
+        raise AssertionError("S must be checked before the host is coloured")
+
+    monkeypatch.setattr(cli, "low_tdepth_coloring", coloring)
+    assert main(["count", str(g), "--pattern", str(pat), "--restrict", str(s)]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_count_colours_once_with_config_limit(tmp_path, capsys, monkeypatch):
+    import gradkit.cli as cli
+
+    g = tmp_path / "grid.txt"
+    g.write_text(textio.graph_to_text(grid(3, 4)))
+    pat = tmp_path / "p3.txt"
+    pat.write_text(textio.graph_to_text(path(3)))
+    s = tmp_path / "s.txt"
+    s.write_text("1\n6\n")
+    conf = tmp_path / "gk.conf"
+    conf.write_text("certification_limit = 12\n")
+    calls = []
+
+    def coloring(G, p, **kw):
+        calls.append((p, kw))
+        return low_tdepth_coloring(G, p, **kw)
+
+    monkeypatch.setattr(cli, "low_tdepth_coloring", coloring)
+    argv = ["--config", str(conf), "count", str(g), "--pattern", str(pat), "--list"]
+    assert main(argv + ["--restrict", str(s)]) == 0
+    assert calls == [(4, {"certify_limit": 12})]
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == f"count {len(lines) - 1}"
+    assert len(lines) - 1 == brute_count_hitting(grid(3, 4), path(3), frozenset({1, 6}))
 
 
 def test_separator_with_cert(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import io
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from gradkit.core import (
     build_digraph,
@@ -123,6 +123,24 @@ def test_induced_subgraph_relabels():
     sub, ids = induced_subgraph(G, [2, 4, 5])
     assert ids == (2, 4, 5)
     assert sub.edges == ((1, 2), (2, 3))
+
+
+@given(raw_graphs(max_n=10, max_m=30), st.data())
+def test_induced_subgraph_matches_edge_scan(G, data):
+    # the adjacency-based construction must equal the graph built from a
+    # scan of every edge of G; W may be unsorted and hold duplicates
+    W = data.draw(st.lists(st.integers(1, G.n), max_size=12)) if G.n else []
+    sub, ids = induced_subgraph(G, W)
+    assert ids == tuple(sorted(set(W)))
+    index = {v: i for i, v in enumerate(ids, 1)}
+    scan = [(index[u], index[v]) for (u, v) in G.edges if u in index and v in index]
+    assert sub == build_graph(len(ids), scan)
+
+
+def test_induced_subgraph_rejects_out_of_range():
+    G = build_graph(3, [(1, 2)])
+    with pytest.raises(InputError, match="out of range"):
+        induced_subgraph(G, [1, 4])
 
 
 def test_connected_components():

@@ -1,10 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from gradkit.coloring import Coloring
-from gradkit.core import build_graph, is_connected
-from gradkit.errors import DomainError, PatternError
+from gradkit.coloring import Coloring, greedy_coloring
+from gradkit.core import build_graph, induced_subgraph, is_connected
+from gradkit.errors import DomainError, InputError, PatternError
 from gradkit.forests import TreeDecomposition, dfs_forest, forest_to_decomposition
 from gradkit.generators import clique, cycle, grid, path, random_regular, star, subdivided_clique
 from gradkit.oracles import (
@@ -16,6 +17,8 @@ from gradkit.oracles import (
     brute_has_subgraph,
 )
 from gradkit.patterns import (
+    _color_classes,
+    _connected_color_sets,
     count_isomorphs,
     count_on_decomposition,
     decide_containment,
@@ -97,10 +100,88 @@ def test_s_restriction_identities():
     full = count_isomorphs(G, H).total
     assert count_isomorphs(G, H, frozenset(range(1, 10))).total == full
     S = frozenset({1, 5})
-    from gradkit.core import induced_subgraph
-
     rest, _ = induced_subgraph(G, [v for v in range(1, 10) if v not in S])
     assert count_isomorphs(G, H, S).total + count_isomorphs(rest, H).total == full
+
+
+def _ruler(n):
+    """Colour 1 + (number of trailing zero bits of v): centered on a path."""
+    return Coloring((0,) + tuple((v & -v).bit_length() for v in range(1, n + 1)), n.bit_length())
+
+
+def _distinct(n):
+    return Coloring(tuple(range(n + 1)), n)
+
+
+BREAKDOWN_CASES = [
+    ("grid(3,3) distinct", grid(3, 3), _distinct(9)),
+    ("rr(12,3) distinct", HOSTS[4][1], _distinct(12)),
+    ("grid(3,3) greedy", grid(3, 3), greedy_coloring(grid(3, 3))),
+    ("wheel5 greedy", HOSTS[3][1], greedy_coloring(HOSTS[3][1])),
+    ("two-triangles greedy", HOSTS[6][1], greedy_coloring(HOSTS[6][1])),
+    ("path(7) ruler", path(7), _ruler(7)),
+    ("path(12) ruler", path(12), _ruler(12)),
+]
+
+
+def test_breakdown_matches_brute_force_by_exact_colour_set():
+    rng = random.Random(5)
+    for cname, G, col in BREAKDOWN_CASES:
+        S = frozenset(v for v in range(1, G.n + 1) if rng.random() < 0.3)
+        for pname, H in [("P3", path(3)), ("K3", clique(3)), ("P4", path(4)), ("C4", cycle(4))]:
+            for R in (None, S):
+                want: dict[frozenset[int], int] = {}
+                for verts, _ in brute_copies(G, H):
+                    if R is None or R.intersection(verts):
+                        key = frozenset(col.colors[v] for v in verts)
+                        want[key] = want.get(key, 0) + 1
+                rep = count_isomorphs(G, H, R, coloring=col)
+                assert rep.by_color_subset == want, (cname, pname, R)
+                assert rep.total == sum(want.values())
+
+
+def _quotient_connected(quotient, C):
+    start = min(C)
+    seen = {start}
+    todo = [start]
+    while todo:
+        c = todo.pop()
+        for d in quotient[c] & C:
+            if d not in seen:
+                seen.add(d)
+                todo.append(d)
+    return seen == C
+
+
+def test_connected_color_sets_each_once():
+    for cname, G, col in BREAKDOWN_CASES:
+        _, quotient = _color_classes(G, col)
+        for k in range(1, 6):
+            got = list(_connected_color_sets(quotient, k))
+            want = {
+                frozenset(C)
+                for r in range(1, k + 1)
+                for C in combinations(sorted(quotient), r)
+                if _quotient_connected(quotient, frozenset(C))
+            }
+            assert len(got) == len(set(got)), (cname, k)
+            assert set(got) == want, (cname, k)
+
+
+def test_color_quotient():
+    col = Coloring((0, 1, 2, 1, 3), 3)
+    classes, quotient = _color_classes(path(4), col)
+    assert classes == {1: [1, 3], 2: [2], 3: [4]}
+    assert quotient == {1: {2, 3}, 2: {1}, 3: {1}}
+
+
+def test_restriction_outside_vertex_range_rejected():
+    G = path(4)
+    for bad in ({99}, {0}, {2, -1}):
+        with pytest.raises(InputError, match="out of range"):
+            count_isomorphs(G, path(2), frozenset(bad))
+        with pytest.raises(InputError, match="out of range"):
+            list_isomorphs(G, path(2), frozenset(bad))
 
 
 def test_listing_matches_brute_force():
@@ -112,6 +193,17 @@ def test_listing_matches_brute_force():
             assert sorted(got) == sorted(
                 (verts, edges) for (verts, edges) in want
             ), (hname, pname)
+
+
+def test_restricted_listing_matches_brute_force():
+    rng = random.Random(3)
+    for hname, G in HOSTS[:5]:
+        S = frozenset(v for v in range(1, G.n + 1) if rng.random() < 0.3)
+        for pname, H in [("K3", clique(3)), ("P3", path(3))]:
+            got = list_isomorphs(G, H, S)
+            want = [c for c in brute_copies(G, H) if S.intersection(c[0])]
+            assert sorted(got) == sorted(want), (hname, pname)
+            assert len(got) == count_isomorphs(G, H, S).total
 
 
 def test_listing_empty_when_absent():
