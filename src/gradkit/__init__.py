@@ -6,20 +6,12 @@ tree-decompositions, tree-depth, small-pattern counting, and certified
 separator-or-shallow-minor outputs.
 """
 
-from .augmentation import (
-    AugmentationTrace,
-    augment,
-    augment_step,
-    fraternity_edges,
-    transitivity_arcs,
-)
+from .augmentation import AugmentationTrace, augment
 from .coloring import (
     Coloring,
     centered_to_forest,
     certify_low_tdepth,
     greedy_coloring,
-    is_centered,
-    is_p_centered,
     low_tdepth_coloring,
 )
 from .core import (
@@ -29,12 +21,11 @@ from .core import (
     build_digraph,
     build_graph,
     connected_components,
-    has_arc,
     induced_subgraph,
     is_connected,
     underlying_graph,
 )
-from .distance import DistanceIndex, preprocess, query
+from .distance import DistanceIndex, preprocess
 from .errors import (
     DisconnectedError,
     DomainError,
@@ -52,7 +43,6 @@ from .forests import (
     closure,
     dfs_forest,
     forest_to_decomposition,
-    is_ancestor,
     make_forest,
     validate_decomposition,
 )

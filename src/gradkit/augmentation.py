@@ -22,38 +22,6 @@ from .errors import DomainError
 from .orientation import orient
 
 
-def transitivity_arcs(dg: ArcListDigraph) -> list[tuple[int, int, int]]:
-    """Candidate arcs (x, v, w(x,u)+w(u,v)) for arc pairs x -> u -> v, x != v.
-
-    Duplicates are allowed; there are at most md(dg)^2 * n candidates.
-    """
-    out = []
-    D = dg.D
-    for v in range(1, dg.n + 1):
-        for (u, _, w1) in D[v]:
-            for (x, _, w2) in D[u]:
-                if x != v:
-                    out.append((x, v, w1 + w2))
-    return out
-
-
-def fraternity_edges(dg: ArcListDigraph) -> list[tuple[int, int, int]]:
-    """Candidate edges (x, y, w(x,v)+w(y,v)), x < y, for arc pairs into a common v."""
-    out = []
-    D = dg.D
-    for v in range(1, dg.n + 1):
-        row = D[v]
-        for i in range(len(row)):
-            xi, _, wi = row[i]
-            for j in range(i + 1, len(row)):
-                yj, _, wj = row[j]
-                if xi < yj:
-                    out.append((xi, yj, wi + wj))
-                else:
-                    out.append((yj, xi, wi + wj))
-    return out
-
-
 @dataclass(frozen=True)
 class StepStats:
     transitivity_added: int
@@ -61,20 +29,20 @@ class StepStats:
     fraternity_delta_max: int
 
 
-def _step(
-    dg: ArcListDigraph,
-    weight_cap: int | None,
-    drop_above: int | None,
-) -> tuple[ArcListDigraph, StepStats]:
+def _step(dg: ArcListDigraph, drop_above: int | None) -> tuple[ArcListDigraph, StepStats]:
+    """One step; candidates heavier than drop_above (if given) are discarded.
+
+    The rows of the result list the arcs of dg first, in their old order,
+    then the new arcs in the order they were found.
+    """
     n = dg.n
     stride = n + 1
-    srcs: list[list[int]] = [[] for _ in range(n + 1)]
-    wts: list[list[int]] = [[] for _ in range(n + 1)]
+    srcs = [[u for (u, _) in row] for row in dg.D]
+    wts = [[w for (_, w) in row] for row in dg.D]
     arcs: dict[int, int] = {}  # encoded (u, v) -> weight, insertion-ordered
-    for (u, v, w) in dg.arcs():
-        arcs[u * stride + v] = w
-        srcs[v].append(u)
-        wts[v].append(w)
+    for v in range(1, n + 1):
+        for (u, w) in dg.D[v]:
+            arcs[u * stride + v] = w
 
     # transitivity candidates, min-merged on the fly
     trans_added = 0
@@ -94,8 +62,6 @@ def _step(
                 w = w1 + wu[j]
                 if drop_above is not None and w > drop_above:
                     continue
-                if weight_cap is not None and w > weight_cap:
-                    w = weight_cap
                 key = x * stride + base
                 old = arcs.get(key)
                 if old is None:
@@ -117,8 +83,6 @@ def _step(
                 w = wi + wv[j]
                 if drop_above is not None and w > drop_above:
                     continue
-                if weight_cap is not None and w > weight_cap:
-                    w = weight_cap
                 key = x * stride + y if x < y else y * stride + x
                 old = frat.get(key)
                 if old is None or w < old:
@@ -154,25 +118,17 @@ def _step(
             key = src * stride + dst if src < dst else dst * stride + src
             arcs[src * stride + dst] = leftover_w[key]
 
-    D: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
-    arc_id = 0
+    D: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     for key, w in arcs.items():
         u, v = divmod(key, stride)
-        arc_id += 1
-        D[v].append((u, arc_id, w))
+        D[v].append((u, w))
     new = ArcListDigraph(
         n=n,
-        m=arc_id,
+        m=len(arcs),
         D=tuple(tuple(row) for row in D),
         md=max((len(row) for row in D), default=0),
     )
     return new, StepStats(trans_added, len(leftover), frat_delta_max)
-
-
-def augment_step(dg: ArcListDigraph, *, weight_cap: int | None = None) -> ArcListDigraph:
-    """One transitive-fraternal augmentation step (min-weight simplification)."""
-    new, _ = _step(dg, weight_cap, None)
-    return new
 
 
 @dataclass(frozen=True)
@@ -195,19 +151,12 @@ class AugmentationTrace:
         return self.steps[-1]
 
 
-def augment(
-    G: Graph,
-    c: int,
-    *,
-    weight_cap: int | None = None,
-    drop_above: int | None = None,
-) -> AugmentationTrace:
+def augment(G: Graph, c: int, *, drop_above: int | None = None) -> AugmentationTrace:
     """Apply c augmentation steps to the low-indegree orientation of G.
 
-    The trace holds c + 1 digraphs.  weight_cap clamps all arc weights
-    (the distance oracle uses k + 1, which cannot change any query answer
-    of value <= k); drop_above discards candidates heavier than the given
-    bound outright, see the distance module for when that is sound.
+    The trace holds c + 1 digraphs.  drop_above discards candidates
+    heavier than the given bound outright; the distance module explains
+    why that cannot change any of its answers.
     """
     if c < 1:
         raise DomainError(f"step count must be >= 1, got {c}")
@@ -218,7 +167,7 @@ def augment(
     f_added: list[int] = []
     f_delta: list[int] = []
     for _ in range(c):
-        nxt, stats = _step(steps[-1], weight_cap, drop_above)
+        nxt, stats = _step(steps[-1], drop_above)
         steps.append(nxt)
         mds.append(nxt.md)
         t_added.append(stats.transitivity_added)

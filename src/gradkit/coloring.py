@@ -1,5 +1,5 @@
-"""Centered and p-centered colorings with certification, and the
-low tree-depth coloring pipeline.
+"""Low tree-depth colorings: the generating pipeline, its certificate and
+the elimination forest of a centered coloring.
 
 A coloring is centered when every connected subgraph has a colour that
 appears exactly once in it, and p-centered when every connected subgraph
@@ -7,7 +7,8 @@ either has such a colour or sees at least p distinct colours.  Restricting
 a p-centered coloring to any i <= p - 1 colour classes leaves a centered
 coloring with i colours, so those classes induce a subgraph of tree-depth
 at most i; that induced-tree-depth property is the certificate this module
-checks, since it is exactly what the downstream consumers rely on.
+checks, since it is exactly what the downstream consumers rely on.  The
+exhaustive (p-)centered checkers are test oracles in gradkit.oracles.
 
 The generator is verify-and-retry: augment the graph, colour the
 augmentation greedily in reverse degeneracy order, certify, and double the
@@ -36,98 +37,6 @@ class Coloring:
 
     colors: tuple[int, ...]
     num_colors: int
-
-    def color_class(self, c: int) -> list[int]:
-        return [v for v in range(1, len(self.colors)) if self.colors[v] == c]
-
-    def used_colors(self) -> list[int]:
-        return sorted(set(self.colors[1:]))
-
-
-def _scan_connected_subsets(G: Graph, coloring: Coloring, p: int | None, limit: int) -> bool:
-    """Exhaustively test the (p-)centered condition on connected subgraphs.
-
-    Walks every connected vertex subset once, maintaining colour counts
-    incrementally; returns False on the first violating subset.  A
-    connected subgraph violates iff its vertex set does, so checking
-    induced connected subsets is enough.
-    """
-    n = G.n
-    if n > limit:
-        raise SizeLimitError(
-            f"graph order {n} exceeds the certification limit {limit}"
-        )
-    if n == 0:
-        return True
-    adjm = [0] * n
-    for (u, v) in G.edges:
-        adjm[u - 1] |= 1 << (v - 1)
-        adjm[v - 1] |= 1 << (u - 1)
-    color = [coloring.colors[i + 1] for i in range(n)]
-    counts = [0] * (coloring.num_colors + 1)
-    state = {"unique": 0, "distinct": 0}
-
-    def add(v: int) -> None:
-        c = color[v]
-        counts[c] += 1
-        if counts[c] == 1:
-            state["unique"] += 1
-            state["distinct"] += 1
-        elif counts[c] == 2:
-            state["unique"] -= 1
-
-    def remove(v: int) -> None:
-        c = color[v]
-        counts[c] -= 1
-        if counts[c] == 0:
-            state["unique"] -= 1
-            state["distinct"] -= 1
-        elif counts[c] == 1:
-            state["unique"] += 1
-
-    full = (1 << n) - 1
-    allowed = 0
-
-    def rec(S: int, frontier: int, banned: int) -> bool:
-        if state["unique"] == 0 and (p is None or state["distinct"] < p):
-            return False
-        ext = frontier & ~banned
-        b = banned
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            v = low.bit_length() - 1
-            newS = S | low
-            add(v)
-            ok = rec(newS, (frontier | (adjm[v] & allowed)) & ~newS, b)
-            remove(v)
-            if not ok:
-                return False
-            b |= low
-        return True
-
-    for s in range(n):
-        allowed = full & ~((1 << (s + 1)) - 1)
-        add(s)
-        ok = rec(1 << s, adjm[s] & allowed, 0)
-        remove(s)
-        if not ok:
-            return False
-    return True
-
-
-def is_centered(G: Graph, coloring: Coloring, *, limit: int = DEFAULT_CERTIFY_LIMIT) -> bool:
-    """Every connected subgraph has a uniquely occurring colour (exhaustive)."""
-    return _scan_connected_subsets(G, coloring, None, limit)
-
-
-def is_p_centered(
-    G: Graph, coloring: Coloring, p: int, *, limit: int = DEFAULT_CERTIFY_LIMIT
-) -> bool:
-    """Unique colour or at least p distinct colours, in every connected subgraph."""
-    if p <= 1:
-        return True
-    return _scan_connected_subsets(G, coloring, p, limit)
 
 
 def centered_to_forest(G: Graph, coloring: Coloring) -> RootedForest:

@@ -1,8 +1,8 @@
 """Runtime configuration: size limits and calibrated constants.
 
 Loadable from a plain key=value file ('#' comments allowed), overridable
-by CLI flags; unknown keys are rejected.  All logarithms in the toolkit
-are base 2, recorded here as an informational note.
+by CLI flags; unknown keys are rejected.  Every key is a positive int or
+float.
 """
 
 from __future__ import annotations
@@ -25,20 +25,17 @@ class Config:
     separator_c1: float = 4.0
     minor_attempts: int = 8
     default_k: int = 4
-    log_base: str = "2"
 
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in ("int", "float") and value <= 0:
+            if value <= 0:
                 raise InputError(f"config key {f.name} must be positive, got {value}")
-        if self.log_base != "2":
-            raise InputError("log_base is informational and fixed to 2")
 
 
 def load_config(path: str) -> Config:
     cfg = Config()
-    known = {f.name: f for f in fields(Config)}
+    known = {f.name: f.type for f in fields(Config)}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -51,14 +48,9 @@ def load_config(path: str) -> Config:
                 raise InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
             if key not in known:
                 raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
-            f = known[key]
+            convert = int if known[key] == "int" else float
             try:
-                if f.type == "int":
-                    setattr(cfg, key, int(value))
-                elif f.type == "float":
-                    setattr(cfg, key, float(value))
-                else:
-                    setattr(cfg, key, value)
+                setattr(cfg, key, convert(value))
             except ValueError:
                 raise InputError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     cfg.validate()

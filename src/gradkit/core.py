@@ -3,11 +3,14 @@
 Vertices are the integers 1..n everywhere.  A Graph is a simple undirected
 graph stored as a normalized edge list plus symmetric adjacency tuples.  An
 ArcListDigraph is the in-arc list representation: D[v] collects one entry
-(source, arc_id, weight) per arc ending at v, so "is there an arc x -> y"
-is a scan of D[y] and costs O(max indegree).
+(source, weight) per arc ending at v, so "is there an arc x -> y" is a
+scan of D[y] and costs O(max indegree).
 
 Both containers are immutable after construction and safe to share across
-threads.
+threads.  The module also holds the small-graph primitives that the exact
+oracles and the counting pipeline share: neighbour_masks, connected_sets
+(every connected vertex set of a graph given as neighbour bitmasks) and
+induced_radius.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import InputError
 
 Edge = tuple[int, int]
 EdgeList = Sequence[Sequence[int]]  # raw (u, v) pairs, duplicates allowed
-ArcEntry = tuple[int, int, int]  # (source, arc_id, weight)
+ArcEntry = tuple[int, int]  # (source, weight)
 
 
 @dataclass(frozen=True)
@@ -51,9 +54,9 @@ class Graph:
 class ArcListDigraph:
     """Weighted simple digraph in in-arc list form.
 
-    D[v] lists the arcs pointing at v, each as (source, arc_id, weight);
-    arc ids are 1..m, weights are nonnegative integers, at most one arc
-    per ordered pair and no loops.  md is the maximum indegree.
+    D[v] lists the arcs pointing at v, each as (source, weight); weights
+    are nonnegative integers, at most one arc per ordered pair and no
+    loops.  md is the maximum indegree.
     """
 
     n: int
@@ -61,16 +64,11 @@ class ArcListDigraph:
     D: tuple[tuple[ArcEntry, ...], ...]
     md: int
 
-    def in_degree(self, v: int) -> int:
-        return len(self.D[v])
-
     def arcs(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (source, target, weight) in arc-id order."""
-        order = sorted(
-            (e, j, v, w) for v in range(1, self.n + 1) for (j, e, w) in self.D[v]
-        )
-        for _, j, v, w in order:
-            yield (j, v, w)
+        """Yield (source, target, weight), row by row in target order."""
+        for v in range(1, self.n + 1):
+            for (u, w) in self.D[v]:
+                yield (u, v, w)
 
 
 def _check_vertex(x: int, n: int, what: str) -> None:
@@ -128,9 +126,9 @@ def build_graph(n: int, raw_edges: EdgeList) -> Graph:
 def build_digraph(n: int, arcs: Iterable[Sequence[int]]) -> ArcListDigraph:
     """Build an ArcListDigraph from (from, to[, weight]) triples.
 
-    Duplicate ordered pairs are merged keeping the minimum weight; arc ids
-    are assigned 1..m in order of first appearance of each surviving pair.
-    Loops are rejected.  Omitted weights default to 1.
+    Duplicate ordered pairs are merged keeping the minimum weight; each
+    row D[v] lists its arcs in order of first appearance.  Loops are
+    rejected.  Omitted weights default to 1.
     """
     if n < 0:
         raise InputError(f"vertex count {n} is negative")
@@ -156,27 +154,14 @@ def build_digraph(n: int, arcs: Iterable[Sequence[int]]) -> ArcListDigraph:
             weights[idx] = w
 
     D: list[list[ArcEntry]] = [[] for _ in range(n + 1)]
-    for i, (u, v) in enumerate(pairs):
-        D[v].append((u, i + 1, weights[i]))
+    for (u, v), w in zip(pairs, weights):
+        D[v].append((u, w))
     return ArcListDigraph(
         n=n,
         m=len(pairs),
         D=tuple(tuple(entries) for entries in D),
         md=max((len(entries) for entries in D), default=0),
     )
-
-
-def has_arc(dg: ArcListDigraph, x: int, y: int) -> int | None:
-    """Return the weight of arc (x, y) if present, else None.
-
-    Scans D[y]; worst case md(dg) entries.
-    """
-    _check_vertex(x, dg.n, "has_arc")
-    _check_vertex(y, dg.n, "has_arc")
-    for (j, _, w) in dg.D[y]:
-        if j == x:
-            return w
-    return None
 
 
 def underlying_graph(dg: ArcListDigraph) -> Graph:
@@ -236,3 +221,65 @@ def is_connected(G: Graph) -> bool:
     if G.n <= 1:
         return True
     return len(connected_components(G)) == 1
+
+
+def neighbour_masks(G: Graph) -> list[int]:
+    """0-based neighbour bitmasks: bit j of adjm[i] is set iff vertices
+    i + 1 and j + 1 are adjacent."""
+    adjm = [0] * G.n
+    for (u, v) in G.edges:
+        adjm[u - 1] |= 1 << (v - 1)
+        adjm[v - 1] |= 1 << (u - 1)
+    return adjm
+
+
+def connected_sets(adjm: Sequence[int], k: int) -> Iterator[int]:
+    """Every nonempty mask of at most k bits that is connected under adjm, once.
+
+    adjm[i] is the neighbour mask of bit i.  This is the ESU enumerator of
+    Wernicke ("Efficient detection of network motifs", IEEE/ACM TCBB
+    2006): the sets whose lowest bit is s grow from s through neighbours
+    above s, and a branch never takes a bit that an earlier sibling branch
+    took, so no set is reached twice.  Sets come in depth-first pre-order.
+    """
+    for s in range(len(adjm)):
+        above = -1 << (s + 1)
+        stack = [(1 << s, adjm[s] & above, 0, 1)]  # (set, frontier, banned, size)
+        while stack:
+            S, frontier, banned, size = stack.pop()
+            yield S
+            if size == k:
+                continue
+            ext = frontier & ~banned
+            while ext:  # highest bit first, so the lowest is popped first
+                high = 1 << (ext.bit_length() - 1)
+                ext ^= high
+                grown = S | high
+                reach = (frontier | adjm[high.bit_length() - 1] & above) & ~grown
+                stack.append((grown, reach, banned | ext, size + 1))
+
+
+def induced_radius(G: Graph, vertices: Iterable[int]) -> int | None:
+    """Radius of G[vertices]: the least eccentricity of a vertex inside it.
+
+    None if the set is empty or induces a disconnected subgraph.
+    """
+    ball = set(vertices)
+    best = None
+    for center in ball:
+        dist = {center: 0}
+        frontier = [center]
+        ecc = 0
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in G.adj[v]:
+                    if w in ball and w not in dist:
+                        dist[w] = ecc = dist[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        if len(dist) != len(ball):
+            return None
+        if best is None or ecc < best:
+            best = ecc
+    return best

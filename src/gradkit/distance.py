@@ -84,21 +84,12 @@ def preprocess(G: Graph, k: int) -> DistanceIndex:
         raise DomainError(f"horizon must be >= 1, got {k}")
     trace = augment(G, k, drop_above=k)
     A = trace.final
-    srcs: list[list[int]] = [[] for _ in range(A.n + 1)]
-    wts: list[list[int]] = [[] for _ in range(A.n + 1)]
-    for v in range(1, A.n + 1):
-        for (j, _, w) in A.D[v]:
-            srcs[v].append(j)
-            wts[v].append(w)
     return DistanceIndex(
         k=k,
         A=A,
-        _srcs=srcs,
-        _wts=wts,
+        _srcs=[[u for (u, _) in row] for row in A.D],
+        _wts=[[w for (_, w) in row] for row in A.D],
         _mark=[0] * (A.n + 1),
         _mark_w=[0] * (A.n + 1),
     )
 
-
-def query(index: DistanceIndex, x: int, y: int) -> int | None:
-    return index.query(x, y)

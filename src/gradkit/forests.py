@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .core import Graph, build_graph
+from .core import Graph, _check_vertex, build_graph
 from .errors import InputError
 
 
@@ -40,6 +40,7 @@ def make_forest(n: int, parent: Mapping[int, int] | Iterable[int]) -> RootedFore
     if isinstance(parent, Mapping):
         par = [0] * (n + 1)
         for v, p in parent.items():
+            _check_vertex(v, n, "parent map key")
             par[v] = p
     else:
         par = [0] + list(parent)
@@ -69,16 +70,6 @@ def make_forest(n: int, parent: Mapping[int, int] | Iterable[int]) -> RootedFore
         resolve(v)
     roots = tuple(v for v in range(1, n + 1) if par[v] == 0)
     return RootedForest(n=n, parent=tuple(par), roots=roots, height=tuple(height))
-
-
-def is_ancestor(F: RootedForest, x: int, y: int) -> bool:
-    """True iff x is a strict ancestor of y."""
-    v = F.parent[y]
-    while v != 0:
-        if v == x:
-            return True
-        v = F.parent[v]
-    return False
 
 
 def closure(F: RootedForest) -> Graph:

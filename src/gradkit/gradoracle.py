@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import Graph, build_graph
+from .core import Graph, build_graph, connected_sets, induced_radius, neighbour_masks
 from .errors import DomainError, InvalidFamilyError, OracleLimitError
 
 DEFAULT_LIMIT_R0 = 16
@@ -44,32 +44,6 @@ class GradValue:
     witness: BallFamily
 
 
-def _subset_radius(G: Graph, ball: frozenset[int]) -> int:
-    """Radius of G[ball]: min over centers of the eccentricity inside the ball.
-
-    Raises InvalidFamilyError if G[ball] is disconnected.
-    """
-    best = None
-    for center in ball:
-        dist = {center: 0}
-        frontier = [center]
-        ecc = 0
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in G.adj[v]:
-                    if w in ball and w not in dist:
-                        dist[w] = dist[v] + 1
-                        ecc = dist[w]
-                        nxt.append(w)
-            frontier = nxt
-        if len(dist) != len(ball):
-            raise InvalidFamilyError(f"ball {sorted(ball)} induces a disconnected subgraph")
-        if best is None or ecc < best:
-            best = ecc
-    return 0 if best is None else best
-
-
 def ball_family(G: Graph, sets: Iterable[Iterable[int]]) -> BallFamily:
     """Validate disjointness and connectivity, compute per-ball radii."""
     balls = tuple(frozenset(s) for s in sets)
@@ -83,8 +57,13 @@ def ball_family(G: Graph, sets: Iterable[Iterable[int]]) -> BallFamily:
             if v in seen:
                 raise InvalidFamilyError(f"balls overlap at vertex {v}")
             seen.add(v)
-    radii = tuple(_subset_radius(G, b) for b in balls)
-    return BallFamily(balls=balls, radii=radii)
+    radii = []
+    for b in balls:
+        r = induced_radius(G, b)
+        if r is None:
+            raise InvalidFamilyError(f"ball {sorted(b)} induces a disconnected subgraph")
+        radii.append(r)
+    return BallFamily(balls=balls, radii=tuple(radii))
 
 
 def quotient(G: Graph, P: BallFamily | Sequence[Iterable[int]]) -> Graph:
@@ -116,31 +95,6 @@ def evaluate_family(G: Graph, P: BallFamily | Sequence[Iterable[int]]) -> Fracti
     return Fraction(q.m, len(fam.balls))
 
 
-def _connected_subsets(n: int, adjm: list[int]) -> list[int]:
-    """All nonempty vertex masks inducing a connected subgraph, each once."""
-    out: list[int] = []
-    full = (1 << n) - 1
-    allowed = 0
-
-    def rec(S: int, frontier: int, banned: int) -> None:
-        out.append(S)
-        ext = frontier & ~banned
-        b = banned
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            v = low.bit_length() - 1
-            newS = S | low
-            rec(newS, (frontier | (adjm[v] & allowed)) & ~newS, b)
-            b |= low
-
-    for s in range(n):
-        # enumerate the subsets whose minimum vertex is s
-        allowed = full & ~((1 << (s + 1)) - 1)
-        rec(1 << s, adjm[s] & allowed, 0)
-    return out
-
-
 def grad(G: Graph, r: int, *, limit: int | None = None) -> GradValue:
     """Exact grad with rank r, with the attaining family as witness.
 
@@ -161,19 +115,15 @@ def grad(G: Graph, r: int, *, limit: int | None = None) -> GradValue:
     if n == 0:
         return GradValue(Fraction(0), BallFamily((), ()))
 
-    adjm = [0] * n  # 0-based neighbour masks
-    for (u, v) in G.edges:
-        adjm[u - 1] |= 1 << (v - 1)
-        adjm[v - 1] |= 1 << (u - 1)
-
+    adjm = neighbour_masks(G)
     if r == 0:
         ball_masks = [1 << i for i in range(n)]
     else:
-        ball_masks = []
-        for S in _connected_subsets(n, adjm):
-            verts = frozenset(i + 1 for i in range(n) if S >> i & 1)
-            if _subset_radius(G, verts) <= r:
-                ball_masks.append(S)
+        ball_masks = [
+            S
+            for S in connected_sets(adjm, n)
+            if induced_radius(G, [i + 1 for i in range(n) if S >> i & 1]) <= r
+        ]
 
     ball_nbrs = []
     for S in ball_masks:

@@ -1,4 +1,4 @@
-"""Corpus management, oracle comparisons and runtime-scaling measurement.
+"""Corpus management, oracle comparisons and growth-exponent fitting.
 
 The verify suites here are desk-scale versions of the acceptance checks:
 each compares a fast-path result against an independent brute-force oracle
@@ -8,7 +8,6 @@ and reports one line per test.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -89,9 +88,9 @@ def check_closure_step(a: ArcListDigraph, b: ArcListDigraph) -> bool:
     arcs_b = {(u, v) for (u, v, _) in b.arcs()}
     for v in range(1, a.n + 1):
         row = a.D[v]
-        for (u, _, _) in row:
+        for (u, _) in row:
             # x -> u -> v closes to x -> v
-            for (x, _, _) in a.D[u]:
+            for (x, _) in a.D[u]:
                 if x != v and (x, v) not in arcs_b:
                     return False
         for i in range(len(row)):
@@ -116,12 +115,6 @@ class OracleReport:
         return f"{status} {self.test_id} [{self.subject}] got={self.got} expected={self.expected}"
 
 
-@dataclass
-class ScalingTable:
-    rows: list[tuple[str, int, float]]  # (label, size measure, seconds)
-    exponent: float
-
-
 def fit_exponent(points: Iterable[tuple[int, float]]) -> float:
     """Least-squares slope of log(time) against log(size)."""
     data = [(math.log(x), math.log(max(t, 1e-9))) for (x, t) in points]
@@ -132,26 +125,6 @@ def fit_exponent(points: Iterable[tuple[int, float]]) -> float:
     num = sum((x - mx) * (y - my) for x, y in data)
     den = sum((x - mx) ** 2 for x, _ in data)
     return num / den if den else 0.0
-
-
-def scaling_run(
-    build: Callable[[int], tuple[Graph, int]],
-    sizes: Iterable[int],
-    op: Callable[[Graph], object],
-    *,
-    repeats: int = 1,
-) -> ScalingTable:
-    """Time op across instance sizes; build returns (graph, size measure)."""
-    rows: list[tuple[str, int, float]] = []
-    for s in sizes:
-        G, measure = build(s)
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            op(G)
-            best = min(best, time.perf_counter() - t0)
-        rows.append((str(s), measure, best))
-    return ScalingTable(rows=rows, exponent=fit_exponent([(m, t) for (_, m, t) in rows]))
 
 
 def _suite_orientation() -> list[OracleReport]:

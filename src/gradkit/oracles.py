@@ -1,15 +1,21 @@
 """Brute-force oracles used to check the fast algorithms.
 
 Everything here is deliberately naive: plain BFS tables, subset
-enumeration, permutation search.  None of it shares code with the modules
-it checks beyond the Graph container itself.
+enumeration, permutation search, candidate lists.  Beyond the Graph and
+ArcListDigraph containers, the checkers share two core helpers with the
+code they check: is_centered and is_p_centered walk the connected vertex
+sets from core.connected_sets, and they and longest_path read the graph
+as core.neighbour_masks.  Every other checker uses no core helper.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations, product
 
-from .core import Graph
+from .coloring import DEFAULT_CERTIFY_LIMIT, Coloring
+from .core import ArcListDigraph, Graph, connected_sets, neighbour_masks
+from .errors import SizeLimitError
 
 INF = -1  # sentinel for "unreachable" in distance tables
 
@@ -84,10 +90,7 @@ def longest_path(G: Graph) -> int:
     if G.n == 0:
         return 0
     n = G.n
-    adjm = [0] * n
-    for (u, v) in G.edges:
-        adjm[u - 1] |= 1 << (v - 1)
-        adjm[v - 1] |= 1 << (u - 1)
+    adjm = neighbour_masks(G)
     # layer[mask ending at v]: grow paths one vertex at a time
     current = {(1 << v, v) for v in range(n)}
     best = 1
@@ -146,3 +149,56 @@ def brute_has_induced(G: Graph, H: Graph) -> bool:
             if ok:
                 return True
     return False
+
+
+def _centered_everywhere(G: Graph, coloring: Coloring, p: int | None, limit: int) -> bool:
+    """Every connected vertex set has a colour occurring once in it, or
+    (with p) at least p distinct colours.  A connected subgraph violates
+    the condition iff its vertex set does, so the sets are enough."""
+    if G.n > limit:
+        raise SizeLimitError(f"graph order {G.n} exceeds the certification limit {limit}")
+    colors = coloring.colors
+    for S in connected_sets(neighbour_masks(G), G.n):
+        counts = Counter(colors[i + 1] for i in range(G.n) if S >> i & 1)
+        if 1 not in counts.values() and (p is None or len(counts) < p):
+            return False
+    return True
+
+
+def is_centered(G: Graph, coloring: Coloring, *, limit: int = DEFAULT_CERTIFY_LIMIT) -> bool:
+    """Every connected subgraph has a uniquely occurring colour (exhaustive)."""
+    return _centered_everywhere(G, coloring, None, limit)
+
+
+def is_p_centered(
+    G: Graph, coloring: Coloring, p: int, *, limit: int = DEFAULT_CERTIFY_LIMIT
+) -> bool:
+    """Unique colour or at least p distinct colours, in every connected subgraph."""
+    if p <= 1:
+        return True
+    return _centered_everywhere(G, coloring, p, limit)
+
+
+def transitivity_arcs(dg: ArcListDigraph) -> list[tuple[int, int, int]]:
+    """Candidate arcs (x, v, w(x,u)+w(u,v)) for arc pairs x -> u -> v, x != v.
+
+    Duplicates are allowed; there are at most md(dg)^2 * n candidates.
+    """
+    D = dg.D
+    return [
+        (x, v, w1 + w2)
+        for v in range(1, dg.n + 1)
+        for (u, w1) in D[v]
+        for (x, w2) in D[u]
+        if x != v
+    ]
+
+
+def fraternity_edges(dg: ArcListDigraph) -> list[tuple[int, int, int]]:
+    """Candidate edges (x, y, w(x,v)+w(y,v)), x < y, for arc pairs into a common v."""
+    return [
+        (min(x, y), max(x, y), wx + wy)
+        for row in dg.D
+        for i, (x, wx) in enumerate(row)
+        for (y, wy) in row[i + 1 :]
+    ]

@@ -26,29 +26,47 @@ def orient(G: Graph) -> tuple[ArcListDigraph, DegeneracyOrder]:
     """Orient G acyclically with maximum indegree = degeneracy(G).
 
     Ties between equal-degree vertices go to the lowest vertex id, so the
-    output is deterministic.  Stale heap entries are skipped lazily; every
-    degree decrement pushes one entry, so the heap does O(n + m) pushes.
-    All arc weights are 1.  The edge {v, w} becomes the arc w -> v when v
-    is removed first.
+    output is deterministic.  The queue is one min-heap of vertex ids per
+    degree: bucket d starts as the ascending list of vertices of degree d
+    (already a heap) and gains a vertex when a decrement brings it to d,
+    so a vertex enters each bucket at most once and entries whose degree
+    has since dropped are skipped lazily.  The minimum degree falls by at
+    most one per removal, so the scan for the lowest nonempty bucket
+    restarts one below the degree just removed.  Heaps hold ints, not
+    (degree, id) pairs, and stay as small as the buckets the peeling
+    reaches.  All arc weights are 1.  The edge {v, w} becomes the arc
+    w -> v when v is removed first.
     """
     n = G.n
     deg = [0] * (n + 1)
     for v in range(1, n + 1):
         deg[v] = len(G.adj[v])
-    heap: list[tuple[int, int]] = [(deg[v], v) for v in range(1, n + 1)]
-    heapq.heapify(heap)
+    top = max(deg)
+    buckets: list[list[int]] = [[] for _ in range(top + 1)]
+    for v in range(1, n + 1):
+        buckets[deg[v]].append(v)  # ascending ids: each bucket is a heap
 
     removed = [False] * (n + 1)
-    D: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    D: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     order: list[int] = []
     delta_max = 0
     m = 0
     push = heapq.heappush
     pop = heapq.heappop
-    while heap:
-        d, v = pop(heap)
-        if removed[v] or d != deg[v]:
-            continue  # stale entry
+    d = 0
+    for _ in range(n):
+        while True:
+            bucket = buckets[d]
+            while bucket:
+                v = bucket[0]
+                if removed[v] or deg[v] != d:
+                    pop(bucket)  # stale entry
+                else:
+                    break
+            if bucket:
+                break
+            d += 1
+        v = pop(bucket)
         removed[v] = True
         order.append(v)
         if d > delta_max:
@@ -56,10 +74,13 @@ def orient(G: Graph) -> tuple[ArcListDigraph, DegeneracyOrder]:
         row = D[v]
         for w in G.adj[v]:
             if not removed[w]:
-                deg[w] -= 1
-                push(heap, (deg[w], w))
+                dw = deg[w] - 1
+                deg[w] = dw
+                push(buckets[dw], w)
                 m += 1
-                row.append((w, m, 1))
+                row.append((w, 1))
+        if d:
+            d -= 1
 
     dg = ArcListDigraph(
         n=n,

@@ -30,10 +30,11 @@ from .core import (
     _check_vertex,
     build_graph,
     connected_components,
+    connected_sets,
     induced_subgraph,
     is_connected,
 )
-from .errors import DomainError, NotCenteredError, PatternError
+from .errors import DomainError, InputError, NotCenteredError, PatternError
 from .forests import TreeDecomposition, dfs_forest, forest_to_decomposition, validate_decomposition
 
 DEFAULT_PATTERN_LIMIT = 5
@@ -191,55 +192,45 @@ def count_on_decomposition(
     return embeddings // pat.aut_count
 
 
-def _color_classes(G: Graph, col: Coloring) -> tuple[dict[int, list[int]], dict[int, set[int]]]:
-    """Sorted vertex list of every used colour, and the colour quotient
-    adjacency: colours c != d are adjacent when a host edge joins their
-    classes."""
+def _color_classes(G: Graph, col: Coloring) -> tuple[list[int], list[list[int]], list[int]]:
+    """The sorted used colours, the sorted vertex list of each, and the
+    colour quotient as neighbour masks over their indices: colours c != d
+    are adjacent when a host edge joins their classes."""
     colors = col.colors
-    classes: dict[int, list[int]] = {}
+    used = sorted(set(colors[1 : G.n + 1]))
+    index = {c: i for i, c in enumerate(used)}
+    classes: list[list[int]] = [[] for _ in used]
     for v in range(1, G.n + 1):
-        classes.setdefault(colors[v], []).append(v)
-    quotient: dict[int, set[int]] = {c: set() for c in classes}
+        classes[index[colors[v]]].append(v)
+    adjm = [0] * len(used)
     for (u, v) in G.edges:
-        if colors[u] != colors[v]:
-            quotient[colors[u]].add(colors[v])
-            quotient[colors[v]].add(colors[u])
-    return classes, quotient
+        a, b = index[colors[u]], index[colors[v]]
+        if a != b:
+            adjm[a] |= 1 << b
+            adjm[b] |= 1 << a
+    return used, classes, adjm
 
 
-def _connected_color_sets(quotient: dict[int, set[int]], k: int) -> Iterator[frozenset[int]]:
-    """Every colour set of size <= k that is connected in the quotient, once.
-
-    ESU-style: the sets whose least colour is root grow from root through
-    quotient neighbours greater than root, and a branch never takes a
-    colour that an earlier sibling branch took, so no set is reached twice.
-    """
-
-    def extend(chosen: frozenset[int], frontier: set[int], banned: frozenset[int], root: int):
-        yield chosen
-        if len(chosen) == k:
-            return
-        for c in sorted(frontier - banned):
-            grown = chosen | {c}
-            reach = (frontier | {d for d in quotient[c] if d > root}) - grown
-            yield from extend(grown, reach, banned, root)
-            banned = banned | {c}
-
-    for root in sorted(quotient):
-        yield from extend(
-            frozenset((root,)), {d for d in quotient[root] if d > root}, frozenset(), root
-        )
+def _indices(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _connected_unions(
-    G: Graph, col: Coloring, h: int, S: frozenset[int] | None
-) -> Iterator[tuple[frozenset[int], list[int]]]:
-    """(C, sorted union of the classes of C) for every connected colour set
-    C of size <= h whose union has at least h vertices and meets S, if S
-    is given.  Every other colour set holds no copy (meeting S)."""
-    classes, quotient = _color_classes(G, col)
-    for C in _connected_color_sets(quotient, h):
-        verts = sorted(v for c in C for v in classes[c])
+    classes: list[list[int]], adjm: list[int], h: int, S: frozenset[int] | None
+) -> Iterator[tuple[int, list[int]]]:
+    """(C, sorted union of the classes of C) for every colour set C of size
+    <= h that is connected in the quotient and whose union has at least h
+    vertices and meets S, if S is given; C is a mask over the class
+    indices of _color_classes.  Every other colour set holds no copy
+    (meeting S)."""
+    for C in connected_sets(adjm, h):
+        verts = sorted(v for i in _indices(C) for v in classes[i])
         if len(verts) < h:
             continue
         if S is not None and not any(v in S for v in verts):
@@ -271,37 +262,56 @@ def _count_in_union(G: Graph, verts: list[int], col: Coloring, pat: Pattern) -> 
 def _exact_counts(
     G: Graph, pat: Pattern, col: Coloring, S: frozenset[int] | None = None
 ) -> dict[frozenset[int], int]:
-    """Copy counts (of copies meeting S, if given) per exact colour set.
+    """Nonzero copy counts (of copies meeting S, if given) per exact colour
+    set.
 
     Only colour sets connected in the quotient are visited: the colours of
     a copy of a connected pattern are.  A union's count is the sum of the
     exact counts of the colour sets inside it, so a Moebius pass in order
     of size gives exact[C] = count(union of C) - sum of exact[C'] over the
-    proper connected subsets C' of C; a disconnected colour set holds no
-    copy.  With S, each union that meets S contributes
-    count(union) - count(union - S), the copies in it that meet S.
+    proper subsets C' of C, run on colour-index masks; a disconnected
+    colour set holds no copy and has no entry.  With S, each union that
+    meets S contributes count(union) - count(union - S), the copies in it
+    that meet S.
     """
-    union_counts: dict[frozenset[int], int] = {}
-    for C, verts in _connected_unions(G, col, pat.graph.n, S):
+    used, classes, adjm = _color_classes(G, col)
+    union_counts: dict[int, int] = {}
+    for C, verts in _connected_unions(classes, adjm, pat.graph.n, S):
         k = _count_in_union(G, verts, col, pat)
         if S is not None:
             k -= _count_in_union(G, [v for v in verts if v not in S], col, pat)
         union_counts[C] = k
-    exact: dict[frozenset[int], int] = {}
-    for C in sorted(union_counts, key=len):
-        members = sorted(C)
-        exact[C] = union_counts[C] - sum(
-            exact.get(frozenset(sub), 0)
-            for r in range(1, len(members))
-            for sub in combinations(members, r)
-        )
-    return exact
+    exact: dict[int, int] = {}
+    for C in sorted(union_counts, key=int.bit_count):
+        k = union_counts[C]
+        sub = (C - 1) & C
+        while sub:
+            k -= exact.get(sub, 0)
+            sub = (sub - 1) & C
+        exact[C] = k
+    return {frozenset(used[i] for i in _indices(C)): k for C, k in exact.items() if k}
 
 
 def check_restriction(G: Graph, S: frozenset[int] | None) -> None:
     """Raise InputError if S has a vertex outside 1..n."""
     for v in S or ():
         _check_vertex(v, G.n, "restriction set")
+
+
+def _prepare(
+    G: Graph, H: Pattern | Graph, S: frozenset[int] | None, coloring: Coloring | None
+) -> tuple[Pattern, Coloring]:
+    """The pattern and the host colouring, after checking S and the length
+    of a given colouring."""
+    pat = H if isinstance(H, Pattern) else make_pattern(H)
+    check_restriction(G, S)
+    if coloring is None:
+        return pat, low_tdepth_coloring(G, pat.graph.n + 1)
+    if len(coloring.colors) != G.n + 1:
+        raise InputError(
+            f"coloring has {len(coloring.colors) - 1} vertex entries, the host has {G.n}"
+        )
+    return pat, coloring
 
 
 def count_isomorphs(
@@ -316,18 +326,13 @@ def count_isomorphs(
 
     The report splits the total by the exact colour set of each copy.
     With include_listing it also carries every copy, listed with the same
-    coloring.  Vertices of S outside 1..n raise InputError.
+    coloring.  Vertices of S outside 1..n, and a coloring whose length is
+    not n + 1, raise InputError.
     """
-    pat = H if isinstance(H, Pattern) else make_pattern(H)
-    check_restriction(G, S)
-    col = coloring if coloring is not None else low_tdepth_coloring(G, pat.graph.n + 1)
+    pat, col = _prepare(G, H, S, coloring)
     exact = _exact_counts(G, pat, col, S)
     listing = list_isomorphs(G, pat, S, coloring=col) if include_listing else None
-    return CountReport(
-        total=sum(exact.values()),
-        by_color_subset={C: v for C, v in exact.items() if v},
-        listing=listing,
-    )
+    return CountReport(total=sum(exact.values()), by_color_subset=exact, listing=listing)
 
 
 def _pattern_order(pat: Pattern) -> tuple[list[int], list[list[int]]]:
@@ -397,21 +402,23 @@ def list_isomorphs(
     A copy is (sorted vertex tuple, edge set).  The colour sets visited are
     those of the counting pass: the connected colour sets of size <= h
     whose union meets S.  Each copy is emitted from the one colour set that
-    equals its exact colour set.  Vertices of S outside 1..n raise
-    InputError.
+    equals its exact colour set.  Vertices of S outside 1..n, and a
+    coloring whose length is not n + 1, raise InputError.
     """
-    pat = H if isinstance(H, Pattern) else make_pattern(H)
-    check_restriction(G, S)
-    h = pat.graph.n
-    col = coloring if coloring is not None else low_tdepth_coloring(G, h + 1)
+    pat, col = _prepare(G, H, S, coloring)
+    used, classes, adjm = _color_classes(G, col)
+    bit = {c: 1 << i for i, c in enumerate(used)}
     found: set[Copy] = set()
-    for C, verts in _connected_unions(G, col, h, S):
+    for C, verts in _connected_unions(classes, adjm, pat.graph.n, S):
         sub, ids = induced_subgraph(G, verts)
         if sub.m < pat.graph.m:
             continue
         for img in _embeddings_in(sub, pat):
             orig = [ids[u - 1] for u in img]
-            if frozenset(col.colors[v] for v in orig) != C:
+            mask = 0
+            for v in orig:
+                mask |= bit[col.colors[v]]
+            if mask != C:
                 continue
             if S is not None and not any(v in S for v in orig):
                 continue
@@ -573,36 +580,3 @@ def exists_small_model(
             return witness
     return None
 
-
-def _pred_connected(M: Graph) -> bool:
-    return is_connected(M)
-
-
-def _pred_clique(M: Graph) -> bool:
-    return M.m == M.n * (M.n - 1) // 2
-
-
-def _pred_cycle(M: Graph) -> bool:
-    return M.n >= 3 and is_connected(M) and all(M.degree(v) == 2 for v in M.vertices())
-
-
-def _pred_independent(M: Graph) -> bool:
-    return M.m == 0
-
-
-def named_predicate(name: str):
-    """CLI predicate registry: connected, clique, cycle, independent-set,
-    min-degree:<d>."""
-    if name.startswith("min-degree:"):
-        d = int(name.split(":", 1)[1])
-        return lambda M: all(M.degree(v) >= d for v in M.vertices())
-    table = {
-        "connected": _pred_connected,
-        "clique": _pred_clique,
-        "cycle": _pred_cycle,
-        "independent-set": _pred_independent,
-    }
-    try:
-        return table[name]
-    except KeyError:
-        raise DomainError(f"unknown predicate {name!r}") from None

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .core import Graph, connected_components, is_connected
+from .core import Graph, connected_components, induced_radius, is_connected
 from .errors import DisconnectedError, DomainError, InputError
 from .gradoracle import evaluate_family
 
@@ -54,29 +54,6 @@ class MinorWitness:
 
 
 SeparatorOutcome = Union[Separator, MinorWitness]
-
-
-def _set_radius(G: Graph, ball: frozenset[int]) -> int:
-    """Radius of G[ball]; -1 if the induced subgraph is disconnected."""
-    best = -1
-    for center in ball:
-        dist = {center: 0}
-        frontier = [center]
-        ecc = 0
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in G.adj[v]:
-                    if w in ball and w not in dist:
-                        dist[w] = dist[v] + 1
-                        ecc = dist[w]
-                        nxt.append(w)
-            frontier = nxt
-        if len(dist) != len(ball):
-            return -1
-        if best < 0 or ecc < best:
-            best = ecc
-    return best
 
 
 def _attach_bfs(
@@ -267,7 +244,7 @@ def separate_or_minor(
         sets = tuple(frozenset(b) for b in nodes)
         return MinorWitness(
             branch_sets=sets,
-            radii=tuple(_set_radius(G, b) for b in sets),
+            radii=tuple(induced_radius(G, b) for b in sets),
             adjacency_edges=tuple(sorted(pair_edges.items())),
         )
 
@@ -313,8 +290,8 @@ def validate(
                 return False
             seen |= b
         for i, b in enumerate(sets):
-            r = _set_radius(G, b)
-            if r < 0 or r > l * log2n or r != outcome.radii[i]:
+            r = induced_radius(G, b)
+            if r is None or r > l * log2n or r != outcome.radii[i]:
                 return False
         certified = dict(outcome.adjacency_edges)
         for i in range(len(sets)):

@@ -1,17 +1,14 @@
+import hashlib
+
 import pytest
 
-from gradkit.augmentation import (
-    augment,
-    augment_step,
-    fraternity_edges,
-    transitivity_arcs,
-)
+from gradkit.augmentation import _step, augment
 from gradkit.core import build_digraph, build_graph, underlying_graph
 from gradkit.errors import DomainError
 from gradkit.generators import clique, cycle, grid, path, random_regular, star
 from gradkit.gradoracle import grad
 from gradkit.harness import check_closure_step
-from gradkit.oracles import bfs_all_pairs
+from gradkit.oracles import bfs_all_pairs, fraternity_edges, transitivity_arcs
 
 SAMPLE = [
     path(6),
@@ -55,14 +52,14 @@ def test_fraternity_duplicates_kept():
 
 def test_step_directed_path():
     dg = build_digraph(3, [(1, 2), (2, 3)])
-    out = augment_step(dg)
+    out, _ = _step(dg, None)
     arcs = {(u, v): w for (u, v, w) in out.arcs()}
     assert arcs == {(1, 2): 1, (2, 3): 1, (1, 3): 2}
 
 
 def test_step_fraternity_one_direction():
     dg = build_digraph(3, [(1, 3), (2, 3)])
-    out = augment_step(dg)
+    out, _ = _step(dg, None)
     arcs = {(u, v): w for (u, v, w) in out.arcs()}
     assert arcs.get((1, 3)) == 1 and arcs.get((2, 3)) == 1
     assert ((1, 2) in arcs) != ((2, 1) in arcs)
@@ -72,7 +69,7 @@ def test_step_fraternity_one_direction():
 
 def test_step_arcless_identity():
     dg = build_digraph(4, [])
-    out = augment_step(dg)
+    out, _ = _step(dg, None)
     assert out.m == 0
 
 
@@ -190,15 +187,34 @@ def _light_pair_weights(dg, k):
     return best
 
 
-def test_weight_cap_and_drop_agree_below_horizon():
-    # Fraternity orientations may differ between the capped, dropped and
-    # full constructions, but the query formula only sees the lightest arc
+def test_drop_above_agrees_below_horizon():
+    # Fraternity orientations may differ between the dropped and the full
+    # construction, but the query formula only sees the lightest arc
     # between two endpoints, which must agree at or below the horizon.
     for G in SAMPLE:
         k = 3
-        capped = augment(G, k, weight_cap=k + 1).final
         dropped = augment(G, k, drop_above=k).final
         full = augment(G, k).final
-        want = _light_pair_weights(full, k)
-        assert _light_pair_weights(capped, k) == want
-        assert _light_pair_weights(dropped, k) == want
+        assert _light_pair_weights(dropped, k) == _light_pair_weights(full, k)
+
+
+def _rows_digest(trace):
+    """SHA-256 of every in-arc row of every step, one line per row:
+    "<step> <v>: <source>,<weight> ..." in row order."""
+    lines = [
+        f"{i} {v}: " + " ".join(f"{u},{w}" for (u, w) in dg.D[v])
+        for i, dg in enumerate(trace.steps)
+        for v in range(1, dg.n + 1)
+    ]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_rows_match_pinned_digest():
+    # the rows, in order, as the arc-id format produced them before arc ids
+    # were dropped from the in-arc entries
+    assert _rows_digest(augment(grid(6, 6), 3)) == (
+        "4dc7cf28104bcd233dc7cf239df9557918f331bbe4554f57172909b677c3c32a"
+    )
+    assert _rows_digest(augment(random_regular(30, 3, 1), 3, drop_above=3)) == (
+        "995189d2df4cf08e76df0bdc9d01491e1b742348607f518241270b513c01f422"
+    )

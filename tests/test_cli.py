@@ -222,6 +222,9 @@ def test_config_rejects_unknown_and_bad(tmp_path):
     f.write_text("oracle_limit = -2\n")
     with pytest.raises(InputError, match="positive"):
         load_config(str(f))
+    f.write_text("log_base = 2\n")
+    with pytest.raises(InputError, match="unknown config key"):
+        load_config(str(f))
 
 
 def test_config_env(tmp_path, monkeypatch):

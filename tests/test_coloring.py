@@ -7,14 +7,13 @@ from gradkit.coloring import (
     centered_to_forest,
     certify_low_tdepth,
     greedy_coloring,
-    is_centered,
-    is_p_centered,
     low_tdepth_coloring,
 )
 from gradkit.core import build_graph, connected_components, induced_subgraph
 from gradkit.errors import NotCenteredError, SizeLimitError
 from gradkit.forests import closure
 from gradkit.generators import clique, cycle, grid, path, random_regular, star
+from gradkit.oracles import is_centered, is_p_centered
 from gradkit.treedepth import treedepth_exact
 
 

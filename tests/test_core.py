@@ -6,9 +6,11 @@ from hypothesis import given, strategies as st
 from gradkit.core import (
     build_digraph,
     build_graph,
-    has_arc,
+    connected_sets,
+    induced_radius,
     induced_subgraph,
     connected_components,
+    neighbour_masks,
     underlying_graph,
 )
 from gradkit.errors import InputError
@@ -51,8 +53,8 @@ def test_build_graph_out_of_range():
 def test_build_digraph_matches_worked_example():
     dg = build_digraph(5, EXAMPLE_ARCS)
     assert dg.m == 7
-    assert [e[:2] for e in dg.D[2]] == [(1, 1), (4, 5)]
-    assert sorted(src for (src, _, _) in dg.D[4]) == [2, 3, 5]
+    assert dg.D[2] == ((1, 1), (4, 1))
+    assert sorted(src for (src, _) in dg.D[4]) == [2, 3, 5]
     assert dg.D[1] == ()
     assert dg.md == 3
 
@@ -60,7 +62,7 @@ def test_build_digraph_matches_worked_example():
 def test_build_digraph_min_weight_merge():
     dg = build_digraph(2, [(1, 2, 3), (1, 2, 1)])
     assert dg.m == 1
-    assert has_arc(dg, 1, 2) == 1
+    assert dg.D[2] == ((1, 1),)
 
 
 def test_build_digraph_empty():
@@ -71,24 +73,6 @@ def test_build_digraph_empty():
 def test_build_digraph_rejects_loops():
     with pytest.raises(InputError, match="loop"):
         build_digraph(3, [(2, 2)])
-
-
-def test_has_arc():
-    dg = build_digraph(5, EXAMPLE_ARCS)
-    assert has_arc(dg, 1, 2) == 1
-    assert has_arc(dg, 2, 1) is None
-    assert has_arc(dg, 3, 3) is None
-
-
-def test_has_arc_agrees_with_membership_exhaustively():
-    from gradkit.generators import grid
-
-    examples = [build_digraph(5, EXAMPLE_ARCS), orient(grid(5, 10))[0]]
-    for dg in examples:  # n up to 50, every ordered pair
-        arcs = {(u, v) for (u, v, _) in dg.arcs()}
-        for x in range(1, dg.n + 1):
-            for y in range(1, dg.n + 1):
-                assert (has_arc(dg, x, y) is not None) == ((x, y) in arcs)
 
 
 def test_underlying_graph():
@@ -141,6 +125,47 @@ def test_induced_subgraph_rejects_out_of_range():
     G = build_graph(3, [(1, 2)])
     with pytest.raises(InputError, match="out of range"):
         induced_subgraph(G, [1, 4])
+
+
+def _brute_connected_sets(adjm, k):
+    """Every nonempty mask of at most k bits whose bits reach each other
+    through adjm, by a closure from the lowest bit."""
+    out = set()
+    for mask in range(1, 1 << len(adjm)):
+        if mask.bit_count() > k:
+            continue
+        seen = frontier = mask & -mask
+        while frontier:
+            grown = 0
+            for i in range(len(adjm)):
+                if frontier >> i & 1:
+                    grown |= adjm[i]
+            frontier = grown & mask & ~seen
+            seen |= frontier
+        if seen == mask:
+            out.add(mask)
+    return out
+
+
+def _check_connected_sets(adjm, k):
+    got = list(connected_sets(adjm, k))
+    assert len(got) == len(set(got))  # each mask exactly once
+    assert set(got) == _brute_connected_sets(adjm, k)
+
+
+@given(raw_graphs(), st.integers(1, 9))
+def test_connected_sets_matches_brute_force_random(G, k):
+    _check_connected_sets(neighbour_masks(G), k)
+
+
+def test_induced_radius():
+    from gradkit.generators import grid, path
+
+    assert induced_radius(grid(3, 3), range(1, 10)) == 2
+    assert induced_radius(grid(3, 3), [1, 2, 3, 5]) == 1
+    assert induced_radius(path(5), [4]) == 0
+    assert induced_radius(path(5), [1, 2, 4, 5]) is None  # disconnected
+    assert induced_radius(path(5), []) is None
 
 
 def test_connected_components():

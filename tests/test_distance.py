@@ -1,7 +1,7 @@
 import pytest
 
 from gradkit.core import build_graph
-from gradkit.distance import preprocess, query
+from gradkit.distance import preprocess
 from gradkit.errors import DomainError, InputError
 from gradkit.generators import clique, cycle, grid, path, random_regular, subdivided_clique
 from gradkit.oracles import INF, bfs_all_pairs
@@ -80,4 +80,4 @@ def test_preconditions():
     index = preprocess(path(3), 1)
     with pytest.raises(InputError):
         index.query(0, 2)
-    assert query(index, 1, 2) == 1
+    assert index.query(1, 2) == 1

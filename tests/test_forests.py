@@ -7,7 +7,6 @@ from gradkit.forests import (
     closure,
     dfs_forest,
     forest_to_decomposition,
-    is_ancestor,
     make_forest,
     validate_decomposition,
 )
@@ -29,12 +28,10 @@ def test_make_forest_rejects_cycles():
         make_forest(2, {1: 1, 2: 0})
 
 
-def test_is_ancestor_strict():
-    F = make_forest(4, {1: 0, 2: 1, 3: 2, 4: 1})
-    assert is_ancestor(F, 1, 3)
-    assert is_ancestor(F, 2, 3)
-    assert not is_ancestor(F, 3, 3)
-    assert not is_ancestor(F, 4, 3)
+def test_make_forest_rejects_keys_outside_range():
+    for bad in ({-1: 2}, {0: 1}, {5: 1}, {4: 0}):
+        with pytest.raises(InputError, match="out of range"):
+            make_forest(3, bad)
 
 
 def test_closure_joins_all_ancestors():

@@ -3,11 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from gradkit.core import build_graph
+from gradkit.core import build_graph, connected_sets, neighbour_masks
 from gradkit.errors import InvalidFamilyError, OracleLimitError
 from gradkit.generators import clique, cycle, grid, path, star, subdivided_clique
 from gradkit.gradoracle import (
-    _connected_subsets,
     ball_family,
     evaluate_family,
     grad,
@@ -180,16 +179,12 @@ def test_grad_positive_rank_matches_independent_brute_force():
 
 
 def test_connected_subsets_enumeration_matches_brute_force():
+    # the subsets the oracle enumerates come from core.connected_sets
     for G in [path(4), cycle(5), clique(4), star(3)]:
-        n = G.n
-        adjm = [0] * n
-        for (u, v) in G.edges:
-            adjm[u - 1] |= 1 << (v - 1)
-            adjm[v - 1] |= 1 << (u - 1)
-        got = sorted(_connected_subsets(n, adjm))
+        got = sorted(connected_sets(neighbour_masks(G), G.n))
         want = []
-        for mask in range(1, 1 << n):
-            verts = [i + 1 for i in range(n) if mask >> i & 1]
+        for mask in range(1, 1 << G.n):
+            verts = [i + 1 for i in range(G.n) if mask >> i & 1]
             seen = {verts[0]}
             stack = [verts[0]]
             while stack:
@@ -202,3 +197,4 @@ def test_connected_subsets_enumeration_matches_brute_force():
                 want.append(mask)
         assert got == sorted(want)
         assert len(got) == len(set(got))  # each subset exactly once
+

@@ -9,7 +9,6 @@ from gradkit.harness import (
     digraph_is_acyclic,
     fit_exponent,
     run_suite,
-    scaling_run,
     small_corpus,
 )
 from gradkit.oracles import INF, bfs_all_pairs, brute_count, longest_path
@@ -60,16 +59,6 @@ def test_fit_exponent_synthetic():
     points = [(10, 10**1.5), (100, 100**1.5), (1000, 1000**1.5)]
     assert abs(fit_exponent(points) - 1.5) < 1e-9
     assert fit_exponent([(10, 1.0)]) == 0.0
-
-
-def test_scaling_run_smoke():
-    table = scaling_run(
-        lambda s: (path(s), s),
-        [50, 100],
-        lambda G: bfs_all_pairs(G),
-    )
-    assert len(table.rows) == 2
-    assert table.rows[0][1] == 50
 
 
 def test_small_corpus_coverage():

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from gradkit.coloring import Coloring, greedy_coloring
-from gradkit.core import build_graph, induced_subgraph, is_connected
+from gradkit.core import build_graph, connected_sets, induced_subgraph, is_connected
 from gradkit.errors import DomainError, InputError, PatternError
 from gradkit.forests import TreeDecomposition, dfs_forest, forest_to_decomposition
 from gradkit.generators import clique, cycle, grid, path, random_regular, star, subdivided_clique
@@ -18,14 +18,12 @@ from gradkit.oracles import (
 )
 from gradkit.patterns import (
     _color_classes,
-    _connected_color_sets,
     count_isomorphs,
     count_on_decomposition,
     decide_containment,
     exists_small_model,
     list_isomorphs,
     make_pattern,
-    named_predicate,
 )
 
 PATTERNS = {
@@ -146,22 +144,23 @@ def _quotient_connected(quotient, C):
     todo = [start]
     while todo:
         c = todo.pop()
-        for d in quotient[c] & C:
-            if d not in seen:
+        for d in C:
+            if quotient[c] >> d & 1 and d not in seen:
                 seen.add(d)
                 todo.append(d)
     return seen == C
 
 
 def test_connected_color_sets_each_once():
+    # the colour sets the counter visits come from core.connected_sets
     for cname, G, col in BREAKDOWN_CASES:
-        _, quotient = _color_classes(G, col)
+        quotient = _color_classes(G, col)[2]
         for k in range(1, 6):
-            got = list(_connected_color_sets(quotient, k))
+            got = list(connected_sets(quotient, k))
             want = {
-                frozenset(C)
+                sum(1 << c for c in C)
                 for r in range(1, k + 1)
-                for C in combinations(sorted(quotient), r)
+                for C in combinations(range(len(quotient)), r)
                 if _quotient_connected(quotient, frozenset(C))
             }
             assert len(got) == len(set(got)), (cname, k)
@@ -169,10 +168,21 @@ def test_connected_color_sets_each_once():
 
 
 def test_color_quotient():
-    col = Coloring((0, 1, 2, 1, 3), 3)
-    classes, quotient = _color_classes(path(4), col)
-    assert classes == {1: [1, 3], 2: [2], 3: [4]}
-    assert quotient == {1: {2, 3}, 2: {1}, 3: {1}}
+    col = Coloring((0, 1, 5, 1, 3), 5)
+    used, classes, quotient = _color_classes(path(4), col)
+    assert used == [1, 3, 5]
+    assert classes == [[1, 3], [4], [2]]
+    assert quotient == [0b110, 0b001, 0b001]  # colour 1 meets colours 3 and 5
+
+
+def test_coloring_length_must_match_host():
+    G = path(4)
+    for colors in [(0, 1, 2), (0, 1, 2, 1, 2, 1)]:  # too short, too long
+        col = Coloring(colors, 2)
+        with pytest.raises(InputError, match="coloring"):
+            count_isomorphs(G, path(2), coloring=col)
+        with pytest.raises(InputError, match="coloring"):
+            list_isomorphs(G, path(2), coloring=col)
 
 
 def test_restriction_outside_vertex_range_rejected():
@@ -289,17 +299,21 @@ def test_hom_contained_subgraph_implies_hom():
                 assert decide_containment(G, H, "hom")
 
 
+def _is_cycle(M):
+    return M.n >= 3 and is_connected(M) and all(M.degree(v) == 2 for v in M.vertices())
+
+
 def test_exists_small_model():
     wheel = HOSTS[3][1]
     assert exists_small_model(path(4), 2, lambda M: M.m >= 1) == frozenset({1, 2})
     assert exists_small_model(build_graph(3, []), 2, lambda M: M.m >= 1) is None
-    assert exists_small_model(path(9), 4, named_predicate("cycle")) is None
-    got = exists_small_model(wheel, 4, named_predicate("cycle"))
+    assert exists_small_model(path(9), 4, _is_cycle) is None
+    got = exists_small_model(wheel, 4, _is_cycle)
     assert got is not None and is_connected(wheel) and len(got) in (3, 4)
     assert exists_small_model(path(9), 3, lambda M: False) is None
-    ind = exists_small_model(cycle(6), 3, named_predicate("independent-set"))
+    ind = exists_small_model(cycle(6), 3, lambda M: M.m == 0)
     assert ind is not None and len(ind) <= 3
-    deg = exists_small_model(clique(4), 3, named_predicate("min-degree:2"))
+    deg = exists_small_model(clique(4), 3, lambda M: all(M.degree(v) >= 2 for v in M.vertices()))
     assert deg is not None
 
 
@@ -308,5 +322,3 @@ def test_exists_small_model_limits():
         exists_small_model(path(3), 6, lambda M: True)
     with pytest.raises(DomainError):
         exists_small_model(path(3), 0, lambda M: True)
-    with pytest.raises(DomainError):
-        named_predicate("no-such-predicate")
