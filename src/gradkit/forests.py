@@ -177,20 +177,20 @@ def validate_decomposition(G: Graph, T: TreeDecomposition) -> bool:
     if not all(seen):
         return False
 
-    covered = set()
-    for b in T.bags:
-        for (u, v) in G.edges:
-            if u in b and v in b:
-                covered.add((u, v))
-    if len(covered) != G.m:
-        return False
-
     nodes_of: dict[int, list[int]] = {}
     for i, b in enumerate(T.bags):
         for v in b:
             if not 1 <= v <= G.n:
                 return False
             nodes_of.setdefault(v, []).append(i)
+    # each edge is looked up in the bags of its endpoint that lies in fewer
+    for (u, v) in G.edges:
+        nu, nv = nodes_of.get(u, ()), nodes_of.get(v, ())
+        if len(nu) > len(nv):
+            nu, u, v = nv, v, u
+        if not any(v in T.bags[i] for i in nu):
+            return False
+
     for v in range(1, G.n + 1):
         nodes = nodes_of.get(v)
         if not nodes:

@@ -108,7 +108,6 @@ class OracleReport:
     got: str
     expected: str
     match: bool
-    seconds: float = 0.0
 
     def line(self) -> str:
         status = "ok" if self.match else "FAIL"

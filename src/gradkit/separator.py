@@ -6,11 +6,14 @@ sets, pairwise joined by an edge, each of radius at most the depth budget
 (grown as pruned BFS trees reaching a neighbour of every earlier set).
 When the greedy assembly stalls it falls back to a separator built by
 ball growing: grow a breadth-first ball until a layer is small relative
-to the ball (the layer goes into the separator, the interior is settled),
-and when no small layer exists before a region is engulfed, cut the
-thinnest layer nearest the middle, which always leaves both sides at most
-half the region.  Oversized pieces are re-split, so every component left
-by the separator has at most ceil(2n/3) vertices.
+to the ball (the layer goes into the separator), and when no small layer
+exists before the component is engulfed, cut its thinnest layer, the one
+nearest the middle among equally thin ones.  That cut need not balance
+the sides (layer 0 is always a thinnest layer), so a side left with more
+than ceil(2n/3) vertices is split again, until every component left by
+the separator has at most ceil(2n/3) vertices.  At most one component is
+ever that large, so only it is followed: each split costs the ball it
+grows plus the pieces it cuts away, not a search of all that is left.
 
 Both outcomes carry machine-checkable certificates; validate() re-checks
 them from scratch.
@@ -142,71 +145,166 @@ def _greedy_minor(
     return nodes, pair_edges
 
 
-def _bfs_layers(G: Graph, comp: list[int], start: int) -> list[list[int]]:
-    inside = set(comp)
-    layers = [[start]]
-    seen = {start}
-    while True:
-        nxt = []
-        for v in layers[-1]:
-            for w in G.adj[v]:
-                if w in inside and w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            return layers
-        layers.append(nxt)
+def _kill(adj: tuple[tuple[int, ...], ...], alive: list[bool], stack: list[int]) -> None:
+    """Mark dead every live vertex reachable from stack, whose vertices
+    are dead already."""
+    while stack:
+        for w in adj[stack.pop()]:
+            if alive[w]:
+                alive[w] = False
+                stack.append(w)
 
 
-def _split_region(
-    G: Graph, comp: list[int], l: int, S: set[int], stack: list[list[int]]
-) -> None:
-    """Cut one layer of a BFS ball out of comp into S; push both sides."""
-    layers = _bfs_layers(G, comp, min(comp))
-    size = len(comp)
-    prefix = 0
-    for r in range(len(layers) - 1):
-        prefix += len(layers[r])
-        if l * len(layers[r + 1]) < prefix:
-            # thin frontier relative to the grown ball: cut it out
-            S.update(layers[r + 1])
-            interior = [v for q in range(r + 1) for v in layers[q]]
-            removed = set(layers[r + 1]).union(interior)
-            stack.append(interior)
-            stack.append([v for v in comp if v not in removed])
-            return
-    # no thin frontier before the ball engulfed the region: cut the
-    # thinnest layer closest to the middle, leaving sides <= size/2
-    best_r = 0
-    best_key = None
-    prefix = 0
-    for r, layer in enumerate(layers):
-        key = (len(layer), abs(2 * prefix + len(layer) - size))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_r = r
-        prefix += len(layer)
-    cut = set(layers[best_r])
-    S.update(cut)
-    before = [v for q in range(best_r) for v in layers[q]]
-    after = [v for q in range(best_r + 1, len(layers)) for v in layers[q]]
-    if before:
-        stack.append(before)
-    if after:
-        stack.append(after)
+def _keep_big_piece(
+    adj: tuple[tuple[int, ...], ...],
+    alive: list[bool],
+    seeds: list[int],
+    total: int,
+    bound: int,
+) -> int:
+    """Keep alive only the piece of more than bound vertices, if any.
+
+    The live vertices form pieces that hold total vertices together, and
+    each piece contains a seed.  One search runs from each seed, and the
+    searches take one vertex each per round; two that meet merge.  Once
+    at most one search is unfinished, every finished search holds a whole
+    piece, and the unfinished one holds the rest.  Every piece but the
+    big one is marked dead.  Returns the size of the big piece, 0 if none
+    (the live vertices are then left as they are).
+    """
+    owner: dict[int, int] = {}
+    root = list(range(len(seeds)))
+    todo: list[list[int]] = []
+    for i, s in enumerate(seeds):
+        owner[s] = i
+        todo.append([s])
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    active = root[:]
+    while len(active) > 1:
+        for i in active:
+            t = todo[i]
+            if root[i] != i or not t:
+                continue
+            for w in adj[t.pop()]:
+                if not alive[w]:
+                    continue
+                j = owner.get(w)
+                if j is None:
+                    owner[w] = i
+                    todo[i].append(w)
+                    continue
+                j = find(j)
+                if j != i:  # absorb search j, appending the shorter list
+                    root[j] = i
+                    a, b = todo[i], todo[j]
+                    if len(a) < len(b):
+                        a, b = b, a
+                    a.extend(b)
+                    todo[i] = a
+                    todo[j] = []
+        active = [i for i in active if root[i] == i and todo[i]]
+
+    sizes: dict[int, int] = {}  # root -> vertices it owns
+    for j in owner.values():
+        r = find(j)
+        sizes[r] = sizes.get(r, 0) + 1
+    for r in active:  # the unfinished search's piece holds all the rest
+        sizes[r] = total - sum(k for q, k in sizes.items() if q != r)
+    keep = next((r for r, k in sizes.items() if k > bound), None)
+    if keep is None:
+        return 0
+    for v, j in owner.items():
+        if find(j) != keep:
+            alive[v] = False
+    for r in active:
+        if r != keep:
+            _kill(adj, alive, todo[r])
+    return sizes[keep]
 
 
 def _balanced_separator(G: Graph, l: int) -> set[int]:
+    """Ball-growing separator of a connected G.
+
+    Every component left has at most ceil(2n/3) vertices.  Each cut takes
+    a BFS layer grown from the least vertex of the component C being
+    split, and leaves at most one component above ceil(2n/3) (two would
+    hold more than n vertices); that one is split next.  alive marks C.
+    """
     n = G.n
+    adj = G.adj
     bound = -(-2 * n // 3)  # ceil(2n/3)
     S: set[int] = set()
-    stack: list[list[int]] = [list(range(1, n + 1))]
-    while stack:
-        region = stack.pop()
-        for comp in connected_components(G, within=region):
-            if len(comp) <= bound:
-                continue
-            _split_region(G, comp, l, S, stack)
+    alive = [False] + [True] * n
+    size = n  # |C|
+    seen = [0] * (n + 1)  # stamp of the last split whose BFS reached the vertex
+    stamp = 0
+    low = 1  # C only shrinks, so its least vertex only moves up
+
+    def grow(layer: list[int]) -> list[int]:
+        nxt = []
+        for v in layer:
+            for w in adj[v]:
+                if alive[w] and seen[w] != stamp:
+                    seen[w] = stamp
+                    nxt.append(w)
+        return nxt
+
+    while size > bound:
+        while not alive[low]:
+            low += 1
+        stamp += 1
+        seen[low] = stamp
+        layers = [[low]]
+        prefix = 0  # vertices in layers[:-1]
+        cut = -1
+        while True:
+            nxt = grow(layers[-1])
+            if not nxt:
+                break
+            prefix += len(layers[-1])
+            layers.append(nxt)
+            if l * len(nxt) < prefix:
+                # thin frontier relative to the grown ball: cut it out
+                cut = len(layers) - 1
+                layers.append(grow(nxt))
+                break
+        if cut < 0:
+            # no thin frontier before the ball engulfed C: cut the thinnest
+            # layer, the one closest to the middle among those; a side left
+            # above ceil(2n/3) is split again
+            best_key = None
+            prefix = 0
+            for r, layer in enumerate(layers):
+                key = (len(layer), abs(2 * prefix + len(layer) - size))
+                if best_key is None or key < best_key:
+                    best_key = key
+                    cut = r
+                    inner = prefix
+                prefix += len(layer)
+            layers.append([])
+        else:
+            inner = prefix
+        S.update(layers[cut])
+        for v in layers[cut]:
+            alive[v] = False
+        outer = size - inner - len(layers[cut])
+        seeds = layers[cut + 1]  # every piece beyond the cut has one
+        if inner > bound:  # the ball before the cut is connected
+            for v in seeds:
+                alive[v] = False
+            _kill(adj, alive, seeds)
+            size = inner
+            continue
+        for q in range(cut):
+            for v in layers[q]:
+                alive[v] = False
+        size = _keep_big_piece(adj, alive, seeds, outer, bound) if outer > bound else 0
     return S
 
 

@@ -98,3 +98,12 @@ def test_validate_decomposition_negatives():
         bags=(frozenset({1, 2}), frozenset({2, 3})), tree_edges=((0, 1),)
     )
     assert validate_decomposition(G, good)
+    # edge {a, b} uncovered, with a in three bags and b in one; the lower id
+    # is the endpoint in more bags, then the one in fewer
+    chain = ((0, 1), (1, 2), (2, 3))
+    for a, b in ((1, 3), (3, 1)):
+        H = build_graph(5, [(a, 2), (a, 4), (a, 5), (b, 5), (a, b)])
+        bags = (frozenset({a, 2}), frozenset({a, 4}), frozenset({a, 5}), frozenset({b, 5}))
+        assert not validate_decomposition(H, TreeDecomposition(bags=bags, tree_edges=chain))
+        covered = bags[:3] + (frozenset({a, b, 5}),)
+        assert validate_decomposition(H, TreeDecomposition(bags=covered, tree_edges=chain))

@@ -1,15 +1,21 @@
+import hashlib
 import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradkit.core import build_graph, connected_components
+from gradkit.core import Graph, build_graph, connected_components
 from gradkit.errors import DisconnectedError, DomainError, InputError
 from gradkit.generators import clique, grid, path, random_regular, star, subdivided_clique
 from gradkit.gradoracle import evaluate_family
+from gradkit.harness import fit_exponent
 from gradkit.separator import (
     MinorWitness,
     Separator,
+    _balanced_separator,
     choose_z,
     parse_expansion,
     separate_or_minor,
@@ -51,6 +57,91 @@ def test_balance_on_long_path():
         assert validate(P, o, 2, 3)
         rest = [v for v in range(1, 201) if v not in o.vertices]
         assert max(len(c) for c in connected_components(P, within=rest)) <= 134
+
+
+def _ladder_and_bundle(L: int, k: int, t: int) -> Graph:
+    """Hub 1 with a ladder of 2L vertices hanging off it, and k paths of t
+    vertices from the hub that meet again in the last vertex."""
+    edges = []
+    a = b = 1
+    n = 1
+    for _ in range(L):
+        n += 2
+        edges += [(a, n - 1), (b, n), (n - 1, n)]
+        a, b = n - 1, n
+    ends = []
+    for _ in range(k):
+        prev = 1
+        for _ in range(t):
+            n += 1
+            edges.append((prev, n))
+            prev = n
+        ends.append(prev)
+    n += 1
+    edges += [(e, n) for e in ends]
+    return build_graph(n, edges)
+
+
+def test_balanced_separator_matches_pinned_digest():
+    # SHA-256 of ",".join(sorted(S)), computed with the stack-of-regions
+    # construction that the single-component loop replaced
+    cases = [
+        # a thin cut whose interior is the next component split
+        (build_graph(6, [(1, 2), (1, 3), (1, 4), (1, 5), (4, 6)]), 3,
+         "39ce8fd81053a2319b2cccd6e97cb4f684c0575efbc095ba1e8a7ba931ad2fd3"),
+        # thin cuts whose rest holds the next component
+        (grid(10, 10), 1, "73db371ed4a0349466beb015f853932af087a4e902247471a148d4400322d0e0"),
+        # a fallback cut that keeps the side before it: S = {1, 5}
+        (build_graph(9, [(i, i % 8 + 1) for i in range(1, 9)] + [(5, 9)]), 8,
+         "e10f709ed16cc5cdcb71a16d00c7fcc7886d6fadbb3099f8a23c8815f47ec477"),
+        # a fallback cut that keeps a piece of the side after it: S = {1, 2}
+        (build_graph(6, [(1, 2), (1, 3), (2, 4), (2, 6), (3, 6), (4, 5)]), 8,
+         "17f8af97ad4a7f7639a4c9171d5185cbafb85462877a4746c21bdb0a4f940ca0"),
+        # the bundle of paths, searched out before the ladder, is kept
+        (_ladder_and_bundle(10, 8, 6), 100,
+         "437cfa92d010507e54d1ec26fa318f391b65c6c93704686e18243b829a6f906e"),
+        (grid(30, 30), 4, "f237723455aeb5b62453eda71d72c909cc8c4879fce620195ceb1abc48369a91"),
+        (grid(3, 200), 2, "a5e190f77d9fb5816992e8a5df76b5364253f79556540ae9979181f0e89ebcbc"),
+        (path(500), 1, "c9e32a886708bda603d3305d9315e5c70daafd3028c42879fc8d0f16044fe74d"),
+        (random_regular(1000, 3, 1), 2,
+         "7c138969500587f82bd6637060b6b91320d56bf8ec5e5094b60857632d01e8d4"),
+    ]
+    for G, l, want in cases:
+        S = _balanced_separator(G, l)
+        assert hashlib.sha256(",".join(map(str, sorted(S))).encode()).hexdigest() == want
+
+
+@st.composite
+def connected_graphs(draw, max_n: int = 30) -> Graph:
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    tree = [(v, draw(st.integers(1, v - 1))) for v in range(2, n + 1)]
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n))
+    return build_graph(n, tree + extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(), st.integers(1, 8), st.integers(2, 6))
+def test_separate_or_minor_random_connected(G, l, h):
+    outcome = separate_or_minor(G, l, h)
+    assert validate(G, outcome, l, h)
+    S = _balanced_separator(G, l)
+    rest = [v for v in range(1, G.n + 1) if v not in S]
+    bound = -(-2 * G.n // 3)
+    assert all(len(c) <= bound for c in connected_components(G, within=rest))
+
+
+def test_separate_or_minor_growth():
+    points = []
+    for a in (100, 200, 300):
+        G = grid(a, a)
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            separate_or_minor(G, 4, 6)
+            best = min(best, time.perf_counter() - t0)
+        points.append((G.n, best))
+    exponent = fit_exponent(points)
+    assert exponent <= 1.3, f"exponent {exponent:.3f}, points {points}"
 
 
 def test_subdivided_clique_witness():
