@@ -15,6 +15,7 @@ with per-step counters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import ArcListDigraph, Graph, build_graph
@@ -36,97 +37,67 @@ def _step(dg: ArcListDigraph, drop_above: int | None) -> tuple[ArcListDigraph, S
     then the new arcs in the order they were found.
     """
     n = dg.n
-    stride = n + 1
-    srcs = [[u for (u, _) in row] for row in dg.D]
-    wts = [[w for (_, w) in row] for row in dg.D]
-    arcs: dict[int, int] = {}  # encoded (u, v) -> weight, insertion-ordered
-    for v in range(1, n + 1):
-        for (u, w) in dg.D[v]:
-            arcs[u * stride + v] = w
+    old = dg.D
+    rows = [dict(row) for row in old]
+    cap = math.inf if drop_above is None else drop_above
 
-    # transitivity candidates, min-merged on the fly
+    # transitivity candidates x -> u -> v, min-merged on the fly
     trans_added = 0
     for v in range(1, n + 1):
-        sv = srcs[v]
-        wv = wts[v]
-        base = v  # encoded target
-        for i in range(len(sv)):
-            u = sv[i]
-            w1 = wv[i]
-            su = srcs[u]
-            wu = wts[u]
-            for j in range(len(su)):
-                x = su[j]
-                if x == v:
+        row = rows[v]
+        for u, w1 in old[v].items():
+            for x, w2 in old[u].items():
+                w = w1 + w2
+                if x == v or w > cap:
                     continue
-                w = w1 + wu[j]
-                if drop_above is not None and w > drop_above:
-                    continue
-                key = x * stride + base
-                old = arcs.get(key)
-                if old is None:
-                    arcs[key] = w
+                cur = row.get(x)
+                if cur is None:
+                    row[x] = w
                     trans_added += 1
-                elif w < old:
-                    arcs[key] = w
+                elif w < cur:
+                    row[x] = w
 
-    # fraternity candidates: min weight per unordered pair
-    frat: dict[int, int] = {}
+    # fraternity candidates: min weight per unordered pair, frat[x][y] with x < y
+    frat: list[dict[int, int]] = [{} for _ in range(n + 1)]
     for v in range(1, n + 1):
-        sv = srcs[v]
-        wv = wts[v]
-        for i in range(len(sv)):
-            x = sv[i]
-            wi = wv[i]
-            for j in range(i + 1, len(sv)):
-                y = sv[j]
-                w = wi + wv[j]
-                if drop_above is not None and w > drop_above:
+        entries = list(old[v].items())
+        for i, (x, wx) in enumerate(entries):
+            for y, wy in entries[i + 1 :]:
+                w = wx + wy
+                if w > cap:
                     continue
-                key = x * stride + y if x < y else y * stride + x
-                old = frat.get(key)
-                if old is None or w < old:
-                    frat[key] = w
+                lo, hi = (x, y) if x < y else (y, x)
+                cur = frat[lo].get(hi)
+                if cur is None or w < cur:
+                    frat[lo][hi] = w
 
     # a fraternity pair already joined in some direction only lowers weights;
     # the rest form a simple graph that gets the low-indegree orientation
     leftover: list[tuple[int, int]] = []
-    leftover_w: dict[int, int] = {}
-    for key, w in frat.items():
-        x, y = divmod(key, stride)
-        kxy = key
-        kyx = y * stride + x
-        hit = False
-        if kxy in arcs:
-            hit = True
-            if w < arcs[kxy]:
-                arcs[kxy] = w
-        if kyx in arcs:
-            hit = True
-            if w < arcs[kyx]:
-                arcs[kyx] = w
-        if not hit:
-            leftover.append((x, y))
-            leftover_w[key] = w
+    for x in range(1, n + 1):
+        rx = rows[x]
+        for y, w in frat[x].items():
+            ry = rows[y]
+            if x in ry or y in rx:
+                if ry.get(x, w) > w:
+                    ry[x] = w
+                if rx.get(y, w) > w:
+                    rx[y] = w
+            else:
+                leftover.append((x, y))
 
     frat_delta_max = 0
     if leftover:
-        fg = build_graph(n, leftover)
-        fdg, forder = orient(fg)
+        fdg, forder = orient(build_graph(n, leftover))
         frat_delta_max = forder.delta_max
         for (src, dst, _) in fdg.arcs():
-            key = src * stride + dst if src < dst else dst * stride + src
-            arcs[src * stride + dst] = leftover_w[key]
+            rows[dst][src] = frat[min(src, dst)][max(src, dst)]
 
-    D: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for key, w in arcs.items():
-        u, v = divmod(key, stride)
-        D[v].append((u, w))
     new = ArcListDigraph(
         n=n,
-        m=len(arcs),
-        D=tuple(tuple(row) for row in D),
-        md=max((len(row) for row in D), default=0),
+        m=sum(len(row) for row in rows),
+        D=tuple(rows),
+        md=max((len(row) for row in rows), default=0),
     )
     return new, StepStats(trans_added, len(leftover), frat_delta_max)
 

@@ -14,7 +14,7 @@ from . import textio
 from .augmentation import augment
 from .config import resolve_config
 from .coloring import low_tdepth_coloring
-from .core import Graph
+from .core import Graph, _check_vertex
 from .distance import preprocess
 from .errors import DomainError, InputError, OracleLimitError
 from .generators import FAMILIES, GeneratorSpec, lex_product_kc
@@ -86,8 +86,12 @@ def _cmd_augment(args, cfg) -> int:
 def _cmd_dist(args, cfg) -> int:
     G = textio.read_graph(args.input)
     k = args.k if args.k is not None else cfg.default_k
+    pairs = textio.read_pairs(args.pairs)
+    for (x, y) in pairs:
+        for v in (x, y):
+            _check_vertex(v, G.n, f"query ({x}, {y})")
     index = preprocess(G, k)
-    for (x, y) in textio.read_pairs(args.pairs):
+    for (x, y) in pairs:
         d = index.query(x, y)
         print(f"{x} {y} {d}" if d is not None else f"{x} {y} >{k}")
     return 0

@@ -2,12 +2,12 @@
 
 Vertices are the integers 1..n everywhere.  A Graph is a simple undirected
 graph stored as a normalized edge list plus symmetric adjacency tuples.  An
-ArcListDigraph is the in-arc list representation: D[v] collects one entry
-(source, weight) per arc ending at v, so "is there an arc x -> y" is a
-scan of D[y] and costs O(max indegree).
+ArcListDigraph is the in-arc list representation: D[v] is a dict from the
+source of each arc ending at v to its weight, in insertion order, so "is
+there an arc x -> y" is x in D[y] and costs O(1).
 
-Both containers are immutable after construction and safe to share across
-threads.  The module also holds the small-graph primitives that the exact
+Both containers are immutable after construction (no code mutates a
+digraph row once it is built) and safe to share across threads.  The module also holds the small-graph primitives that the exact
 oracles and the counting pipeline share: neighbour_masks, connected_sets
 (every connected vertex set of a graph given as neighbour bitmasks) and
 induced_radius.
@@ -22,7 +22,6 @@ from .errors import InputError
 
 Edge = tuple[int, int]
 EdgeList = Sequence[Sequence[int]]  # raw (u, v) pairs, duplicates allowed
-ArcEntry = tuple[int, int]  # (source, weight)
 
 
 @dataclass(frozen=True)
@@ -54,20 +53,20 @@ class Graph:
 class ArcListDigraph:
     """Weighted simple digraph in in-arc list form.
 
-    D[v] lists the arcs pointing at v, each as (source, weight); weights
+    D[v] maps the source of each arc pointing at v to its weight; weights
     are nonnegative integers, at most one arc per ordered pair and no
-    loops.  md is the maximum indegree.
+    loops.  The rows are read, never mutated.  md is the maximum indegree.
     """
 
     n: int
     m: int
-    D: tuple[tuple[ArcEntry, ...], ...]
+    D: tuple[dict[int, int], ...]
     md: int
 
     def arcs(self) -> Iterator[tuple[int, int, int]]:
         """Yield (source, target, weight), row by row in target order."""
         for v in range(1, self.n + 1):
-            for (u, w) in self.D[v]:
+            for u, w in self.D[v].items():
                 yield (u, v, w)
 
 
@@ -132,9 +131,8 @@ def build_digraph(n: int, arcs: Iterable[Sequence[int]]) -> ArcListDigraph:
     """
     if n < 0:
         raise InputError(f"vertex count {n} is negative")
-    seen: dict[int, int] = {}  # encoded pair -> index into pairs/weights
-    pairs: list[Edge] = []
-    weights: list[int] = []
+    D: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    m = 0
     for arc in arcs:
         u, v = arc[0], arc[1]
         w = arc[2] if len(arc) > 2 else 1
@@ -144,23 +142,18 @@ def build_digraph(n: int, arcs: Iterable[Sequence[int]]) -> ArcListDigraph:
             raise InputError(f"arc ({u}, {v}): loops are not allowed")
         if w < 0:
             raise InputError(f"arc ({u}, {v}): negative weight {w}")
-        key = u * (n + 1) + v
-        idx = seen.get(key)
-        if idx is None:
-            seen[key] = len(pairs)
-            pairs.append((u, v))
-            weights.append(w)
-        elif w < weights[idx]:
-            weights[idx] = w
-
-    D: list[list[ArcEntry]] = [[] for _ in range(n + 1)]
-    for (u, v), w in zip(pairs, weights):
-        D[v].append((u, w))
+        row = D[v]
+        old = row.get(u)
+        if old is None:
+            row[u] = w
+            m += 1
+        elif w < old:
+            row[u] = w
     return ArcListDigraph(
         n=n,
-        m=len(pairs),
-        D=tuple(tuple(entries) for entries in D),
-        md=max((len(entries) for entries in D), default=0),
+        m=m,
+        D=tuple(D),
+        md=max((len(row) for row in D), default=0),
     )
 
 

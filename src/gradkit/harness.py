@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable
 
 from . import oracles
@@ -85,19 +86,15 @@ def digraph_is_acyclic(dg: ArcListDigraph) -> bool:
 
 def check_closure_step(a: ArcListDigraph, b: ArcListDigraph) -> bool:
     """Transitivity and fraternity closure of step a inside step b."""
-    arcs_b = {(u, v) for (u, v, _) in b.arcs()}
     for v in range(1, a.n + 1):
-        row = a.D[v]
-        for (u, _) in row:
+        for u in a.D[v]:
             # x -> u -> v closes to x -> v
-            for (x, _) in a.D[u]:
-                if x != v and (x, v) not in arcs_b:
+            for x in a.D[u]:
+                if x != v and x not in b.D[v]:
                     return False
-        for i in range(len(row)):
-            for j in range(i + 1, len(row)):
-                x, y = row[i][0], row[j][0]
-                if (x, y) not in arcs_b and (y, x) not in arcs_b:
-                    return False
+        for x, y in combinations(a.D[v], 2):
+            if x not in b.D[y] and y not in b.D[x]:
+                return False
     return True
 
 

@@ -188,8 +188,8 @@ def transitivity_arcs(dg: ArcListDigraph) -> list[tuple[int, int, int]]:
     return [
         (x, v, w1 + w2)
         for v in range(1, dg.n + 1)
-        for (u, w1) in D[v]
-        for (x, w2) in D[u]
+        for (u, w1) in D[v].items()
+        for (x, w2) in D[u].items()
         if x != v
     ]
 
@@ -199,6 +199,5 @@ def fraternity_edges(dg: ArcListDigraph) -> list[tuple[int, int, int]]:
     return [
         (min(x, y), max(x, y), wx + wy)
         for row in dg.D
-        for i, (x, wx) in enumerate(row)
-        for (y, wy) in row[i + 1 :]
+        for (x, wx), (y, wy) in combinations(row.items(), 2)
     ]

@@ -47,7 +47,7 @@ def orient(G: Graph) -> tuple[ArcListDigraph, DegeneracyOrder]:
         buckets[deg[v]].append(v)  # ascending ids: each bucket is a heap
 
     removed = [False] * (n + 1)
-    D: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    D: list[dict[int, int]] = [{} for _ in range(n + 1)]
     order: list[int] = []
     delta_max = 0
     m = 0
@@ -78,14 +78,14 @@ def orient(G: Graph) -> tuple[ArcListDigraph, DegeneracyOrder]:
                 deg[w] = dw
                 push(buckets[dw], w)
                 m += 1
-                row.append((w, 1))
+                row[w] = 1
         if d:
             d -= 1
 
     dg = ArcListDigraph(
         n=n,
         m=m,
-        D=tuple(tuple(row) for row in D),
+        D=tuple(D),
         md=max((len(row) for row in D), default=0),
     )
     return dg, DegeneracyOrder(order=tuple(order), delta_max=delta_max)

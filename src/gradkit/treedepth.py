@@ -10,19 +10,11 @@ subproblems are pruned with the same DFS bounds.
 
 from __future__ import annotations
 
-from .core import Graph
+from .core import Graph, neighbour_masks
 from .errors import SizeLimitError
 from .forests import RootedForest, make_forest
 
 DEFAULT_EXACT_LIMIT = 20
-
-
-def _adj_masks(G: Graph) -> list[int]:
-    adjm = [0] * (G.n + 1)
-    for (u, v) in G.edges:
-        adjm[u] |= 1 << (v - 1)
-        adjm[v] |= 1 << (u - 1)
-    return adjm
 
 
 def _mask_components(mask: int, adjm: list[int]) -> list[int]:
@@ -38,7 +30,7 @@ def _mask_components(mask: int, adjm: list[int]) -> list[int]:
             while f:
                 low = f & -f
                 f ^= low
-                grow |= adjm[low.bit_length()]
+                grow |= adjm[low.bit_length() - 1]
             grow &= rest & ~comp
             comp |= grow
             frontier = grow
@@ -54,7 +46,7 @@ def _dfs_height(mask: int, adjm: list[int]) -> int:
     while rest:
         root = rest & -rest
         seen = root
-        stack = [(root.bit_length(), adjm[root.bit_length()] & mask, 1)]
+        stack = [(root.bit_length(), adjm[root.bit_length() - 1] & mask, 1)]
         h = 1
         while stack:
             v, cand, depth = stack[-1]
@@ -68,7 +60,7 @@ def _dfs_height(mask: int, adjm: list[int]) -> int:
             d = depth + 1
             if d > h:
                 h = d
-            stack.append((low.bit_length(), adjm[low.bit_length()] & mask, d))
+            stack.append((low.bit_length(), adjm[low.bit_length() - 1] & mask, d))
         if h > best:
             best = h
         rest &= ~seen
@@ -79,7 +71,7 @@ class _Solver:
     """Shared engine for exact values and bounded decisions on one graph."""
 
     def __init__(self, G: Graph):
-        self.adjm = _adj_masks(G)
+        self.adjm = neighbour_masks(G)
         self.exact_memo: dict[int, tuple[int, int]] = {}  # mask -> (td, best root bit)
         self.decide_memo: dict[tuple[int, int], bool] = {}
 
@@ -139,7 +131,7 @@ class _Solver:
         while rest:
             low = rest & -rest
             rest ^= low
-            order.append(((self.adjm[low.bit_length()] & mask).bit_count(), low))
+            order.append(((self.adjm[low.bit_length() - 1] & mask).bit_count(), low))
         order.sort(reverse=True)
         ans = False
         for _, low in order:

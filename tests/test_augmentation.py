@@ -137,6 +137,17 @@ def test_closure_properties_small_corpus():
             assert check_closure_step(a, b)
 
 
+def test_check_closure_step_negatives():
+    chain = build_digraph(3, [(1, 2), (2, 3)])  # 1 -> 2 -> 3 needs 1 -> 3
+    assert not check_closure_step(chain, chain)
+    assert not check_closure_step(chain, build_digraph(3, [(1, 2), (2, 3), (3, 1)]))
+    assert check_closure_step(chain, build_digraph(3, [(1, 2), (2, 3), (1, 3)]))
+    fork = build_digraph(3, [(1, 3), (2, 3)])  # 1 -> 3 <- 2 needs 1 and 2 joined
+    assert not check_closure_step(fork, fork)
+    assert check_closure_step(fork, build_digraph(3, [(1, 3), (2, 3), (2, 1)]))
+    assert check_closure_step(fork, build_digraph(3, [(1, 3), (2, 3), (1, 2)]))
+
+
 def test_arc_inclusion_and_weight_decrease():
     for G in SAMPLE:
         trace = augment(G, 3)
@@ -202,7 +213,7 @@ def _rows_digest(trace):
     """SHA-256 of every in-arc row of every step, one line per row:
     "<step> <v>: <source>,<weight> ..." in row order."""
     lines = [
-        f"{i} {v}: " + " ".join(f"{u},{w}" for (u, w) in dg.D[v])
+        f"{i} {v}: " + " ".join(f"{u},{w}" for (u, w) in dg.D[v].items())
         for i, dg in enumerate(trace.steps)
         for v in range(1, dg.n + 1)
     ]

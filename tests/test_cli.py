@@ -73,6 +73,24 @@ def test_dist_pairs(p5_file, tmp_path, capsys):
     assert capsys.readouterr().out == "1 4 3\n1 5 >3\n3 3 0\n"
 
 
+def test_dist_pairs_out_of_range_exit_2(tmp_path, capsys, monkeypatch):
+    import gradkit.cli as cli
+
+    g = tmp_path / "p3.txt"
+    g.write_text(textio.graph_to_text(path(3)))
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("1 2\n2 3\n1 9\n")
+
+    def preprocess(*a, **kw):
+        raise AssertionError("pairs must be checked before preprocessing")
+
+    monkeypatch.setattr(cli, "preprocess", preprocess)
+    assert main(["dist", str(g), "--k", "2", "--pairs", str(pairs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "query (1, 9): vertex 9 out of range 1..3" in captured.err
+
+
 def test_color_output(p5_file, capsys):
     assert main(["color", p5_file, "--p", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

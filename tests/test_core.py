@@ -53,21 +53,31 @@ def test_build_graph_out_of_range():
 def test_build_digraph_matches_worked_example():
     dg = build_digraph(5, EXAMPLE_ARCS)
     assert dg.m == 7
-    assert dg.D[2] == ((1, 1), (4, 1))
-    assert sorted(src for (src, _) in dg.D[4]) == [2, 3, 5]
-    assert dg.D[1] == ()
+    assert list(dg.D[2].items()) == [(1, 1), (4, 1)]  # order of first appearance
+    assert list(dg.D[4].items()) == [(3, 1), (2, 1), (5, 1)]
+    assert dg.D[1] == {}
     assert dg.md == 3
 
 
 def test_build_digraph_min_weight_merge():
-    dg = build_digraph(2, [(1, 2, 3), (1, 2, 1)])
-    assert dg.m == 1
-    assert dg.D[2] == ((1, 1),)
+    dg = build_digraph(3, [(1, 2, 3), (3, 2), (1, 2, 1), (1, 2, 2), (3, 2, 4)])
+    assert dg.m == 2
+    # a later lighter duplicate lowers the weight in place, a heavier one is ignored
+    assert list(dg.D[2].items()) == [(1, 1), (3, 1)]
+    assert 1 in dg.D[2] and 2 not in dg.D[1]
 
 
 def test_build_digraph_empty():
     dg = build_digraph(3, [])
-    assert all(dg.D[v] == () for v in range(1, 4))
+    assert dg.m == dg.md == 0
+    assert all(dg.D[v] == {} for v in range(1, 4))
+
+
+def test_arcs_yield_row_by_row():
+    dg = build_digraph(5, EXAMPLE_ARCS)
+    assert list(dg.arcs()) == [
+        (1, 2, 1), (4, 2, 1), (1, 3, 1), (3, 4, 1), (2, 4, 1), (5, 4, 1), (2, 5, 1)
+    ]
 
 
 def test_build_digraph_rejects_loops():

@@ -1,3 +1,7 @@
+import random
+import sys
+import threading
+
 import pytest
 
 from gradkit.core import build_graph
@@ -81,3 +85,43 @@ def test_preconditions():
     with pytest.raises(InputError):
         index.query(0, 2)
     assert index.query(1, 2) == 1
+
+
+def test_concurrent_queries_match_bfs():
+    # Pairs at distance 2..k with no arc between them: only the common
+    # in-neighbour term can answer them, so a query that sees another
+    # thread's partial work answers wrong or not at all.
+    G = random_regular(300, 3, 1)
+    k = 4
+    index = preprocess(G, k)
+    D = index.A.D
+    table = bfs_all_pairs(G)
+    pairs = [
+        (x, y, table[x][y])
+        for x in range(1, G.n + 1)
+        for y in range(1, G.n + 1)
+        if 2 <= table[x][y] <= k and x not in D[y] and y not in D[x]
+    ]
+    start = threading.Barrier(4)
+    wrong: list[int | None] = [None] * 4  # stays None if a thread dies
+
+    def worker(t):
+        mine = random.Random(t).choices(pairs, k=50_000)
+        start.wait()
+        bad = 0
+        for (x, y, d) in mine:
+            if index.query(x, y) != d:
+                bad += 1
+        wrong[t] = bad
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+    finally:
+        sys.setswitchinterval(old)
+    assert wrong == [0] * 4
