@@ -9,18 +9,48 @@ fraternity edges that are genuinely new are oriented with the
 low-indegree orientation so the step only adds bounded indegree.
 
 augment(G, c) starts from the unit-weight low-indegree orientation of G
-and applies c steps; the trace retains every intermediate digraph along
-with per-step counters.
+and applies c steps; the trace holds every intermediate digraph along
+with per-step counters.  Steps share rows: a row that a step does not
+change is the same dict object in both digraphs, and a step copies a row
+only when it first writes to it.
+
+Steps are evaluated semi-naively.  Besides its digraph, a step reports
+its delta: per row, the arcs it added or whose weight it lowered, in row
+order (a row that is mostly new arcs counts as changed as a whole).  The
+next step generates a transitivity candidate x -> u -> v only if x -> u
+or u -> v is in the delta, and a fraternity pair x, y at v only if
+x -> v or y -> v is; the first step is full.  A skipped candidate is
+built from two arcs that the step before already had, with the same
+weights, so that step generated it too: transitivity left an arc x -> v
+no heavier than the candidate, and fraternity left every arc between x
+and y no heavier than the pair.  Generating it again changes nothing,
+with one exception, the reverse-arc correction.  When this step's
+transitivity adds an arc y -> x whose reverse x -> y is already there,
+the full step lowers the new arc to the fraternity minimum over every
+common head of x and y, skipped pairs included.  So for each such arc
+heavier than its reverse (a skipped pair weighs at least the reverse
+arc), the pairs at heads where both arcs are unchanged are gathered
+again.  Candidates are visited in the full step's order, so new arcs
+enter each row in the same order and every digraph is exactly the one
+the full step builds; gradkit.oracles.naive_step is that full step, kept
+as the reference.
+
+With drop_above = cap, candidates heavier than cap are discarded.  Arc
+weights are positive, so an arc of weight cap or more is no summand of
+any kept candidate and is skipped before its partners are read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from .core import ArcListDigraph, Graph, build_graph
+from .core import ArcListDigraph, Graph
 from .errors import DomainError
 from .orientation import orient
+
+_UNCHANGED: dict[int, int] = {}  # the delta of a row a step did not touch
 
 
 @dataclass(frozen=True)
@@ -30,38 +60,91 @@ class StepStats:
     fraternity_delta_max: int
 
 
-def _step(dg: ArcListDigraph, drop_above: int | None) -> tuple[ArcListDigraph, StepStats]:
-    """One step; candidates heavier than drop_above (if given) are discarded.
+def _delta(old: Sequence[dict[int, int]], rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Per row, the arcs of rows that are not in old with the same weight.
 
-    The rows of the result list the arcs of dg first, in their old order,
-    then the new arcs in the order they were found.
+    An untouched row gets _UNCHANGED.  A row that is mostly new arcs is
+    its own delta: every arc counts as changed, which only adds candidates
+    that change nothing, and saves comparing the row entry by entry.
+    """
+    out: list[dict[int, int]] = []
+    for row, orow in zip(rows, old):
+        if row is orow:
+            out.append(_UNCHANGED)
+        elif 2 * len(orow) < len(row):
+            out.append(row)
+        else:
+            out.append({x: w for x, w in row.items() if orow.get(x) != w})
+    return out
+
+
+def _step(
+    dg: ArcListDigraph,
+    changed: Sequence[dict[int, int]],
+    drop_above: int | None,
+    *,
+    track: bool = True,
+) -> tuple[ArcListDigraph, StepStats, list[dict[int, int]] | None]:
+    """One step from dg, given the delta changed of the step that built it.
+
+    changed[v] holds the arcs into v added or lowered by that step, in row
+    order; pass dg.D itself for a full step.  Returns the new digraph, its
+    counters and, when track is set, the delta of this step.  The rows of
+    the result list the arcs of dg first, in their old order, then the new
+    arcs in the order they were found.  When nothing changes, dg itself
+    is returned.
     """
     n = dg.n
     old = dg.D
-    rows = [dict(row) for row in old]
+    rows = list(old)  # shared with dg until first written
     cap = math.inf if drop_above is None else drop_above
 
-    # transitivity candidates x -> u -> v, min-merged on the fly
+    # transitivity candidates x -> u -> v with u -> v or x -> u changed,
+    # min-merged on the fly; a new arc heavier than its old reverse arc is
+    # flagged for the reverse-arc correction
     trans_added = 0
+    flagged: list[tuple[int, int]] = []
     for v in range(1, n + 1):
-        row = rows[v]
-        for u, w1 in old[v].items():
-            for x, w2 in old[u].items():
+        ov = old[v]
+        dv = changed[v]
+        row = ov
+        for u, w1 in ov.items():
+            if w1 >= cap:
+                continue
+            src = old[u] if u in dv else changed[u]
+            for x, w2 in src.items():
                 w = w1 + w2
-                if x == v or w > cap:
+                if w > cap or x == v:
                     continue
                 cur = row.get(x)
                 if cur is None:
+                    if row is ov:
+                        row = rows[v] = dict(ov)
                     row[x] = w
                     trans_added += 1
+                    back = old[x].get(v)
+                    if back is not None and w > back:
+                        flagged.append((x, v))
                 elif w < cur:
+                    if row is ov:
+                        row = rows[v] = dict(ov)
                     row[x] = w
 
-    # fraternity candidates: min weight per unordered pair, frat[x][y] with x < y
+    # fraternity candidates with at least one changed arc: min weight per
+    # unordered pair, frat[x][y] with x < y.  The changed arcs of a row
+    # come first in entries, and each pair with one of them is visited
+    # once; the order of pairs is free.
     frat: list[dict[int, int]] = [{} for _ in range(n + 1)]
     for v in range(1, n + 1):
-        entries = list(old[v].items())
-        for i, (x, wx) in enumerate(entries):
+        dv = changed[v]
+        if not dv:
+            continue
+        ov = old[v]
+        fresh = [(x, w) for x, w in dv.items() if w < cap]
+        entries = fresh
+        if dv is not ov:
+            entries = fresh + [(x, w) for x, w in ov.items() if w < cap and x not in dv]
+        for i, (x, wx) in enumerate(fresh):
             for y, wy in entries[i + 1 :]:
                 w = wx + wy
                 if w > cap:
@@ -70,6 +153,33 @@ def _step(dg: ArcListDigraph, drop_above: int | None) -> tuple[ArcListDigraph, S
                 cur = frat[lo].get(hi)
                 if cur is None or w < cur:
                     frat[lo][hi] = w
+
+    # reverse-arc correction: a flagged pair also takes the pairs skipped
+    # above, at the heads where both of its arcs are unchanged.  Those
+    # pairs weigh at least the old reverse arc, hence only flagged arcs
+    # heavier than it can be lowered by them.
+    if flagged:
+        partners: dict[int, set[int]] = {}
+        for x, y in flagged:
+            lo, hi = (x, y) if x < y else (y, x)
+            partners.setdefault(lo, set()).add(hi)
+        los = partners.keys()
+        for ov, dv in zip(old, changed):
+            if dv is ov:
+                continue
+            for x in ov.keys() & los:
+                if x in dv:
+                    continue
+                wx = ov[x]
+                fx = frat[x]
+                for y in partners[x]:
+                    wy = ov.get(y)
+                    if wy is None or y in dv:
+                        continue
+                    w = wx + wy
+                    cur = fx.get(y)
+                    if w <= cap and (cur is None or w < cur):
+                        fx[y] = w
 
     # a fraternity pair already joined in some direction only lowers weights;
     # the rest form a simple graph that gets the low-indegree orientation
@@ -80,26 +190,48 @@ def _step(dg: ArcListDigraph, drop_above: int | None) -> tuple[ArcListDigraph, S
             ry = rows[y]
             if x in ry or y in rx:
                 if ry.get(x, w) > w:
+                    if ry is old[y]:
+                        ry = rows[y] = dict(ry)
                     ry[x] = w
                 if rx.get(y, w) > w:
+                    if rx is old[x]:
+                        rx = rows[x] = dict(rx)
                     rx[y] = w
             else:
                 leftover.append((x, y))
 
     frat_delta_max = 0
     if leftover:
-        fdg, forder = orient(build_graph(n, leftover))
+        # the pairs are distinct, x < y and in range, so the graph that
+        # build_graph would return is assembled without its checks
+        adj: list[list[int]] = [[] for _ in range(n + 1)]
+        for x, y in leftover:
+            adj[x].append(y)
+            adj[y].append(x)
+        fg = Graph(
+            n=n,
+            m=len(leftover),
+            edges=tuple(sorted(leftover)),
+            adj=tuple(tuple(sorted(a)) for a in adj),
+        )
+        fdg, forder = orient(fg)
         frat_delta_max = forder.delta_max
         for (src, dst, _) in fdg.arcs():
-            rows[dst][src] = frat[min(src, dst)][max(src, dst)]
+            row = rows[dst]
+            if row is old[dst]:
+                row = rows[dst] = dict(row)
+            row[src] = frat[min(src, dst)][max(src, dst)]
 
+    stats = StepStats(trans_added, len(leftover), frat_delta_max)
+    if all(row is orow for row, orow in zip(rows, old)):
+        return dg, stats, [_UNCHANGED] * (n + 1) if track else None
     new = ArcListDigraph(
         n=n,
         m=sum(len(row) for row in rows),
         D=tuple(rows),
         md=max((len(row) for row in rows), default=0),
     )
-    return new, StepStats(trans_added, len(leftover), frat_delta_max)
+    return new, stats, _delta(old, rows) if track else None
 
 
 @dataclass(frozen=True)
@@ -107,8 +239,9 @@ class AugmentationTrace:
     """The chain G_1 <= G_2 <= ... produced by augment, with step counters.
 
     steps[0] is the unit-weight orientation of the input; steps[i] is the
-    result of the i-th augmentation step.  The counter tuples have one
-    entry per step.
+    result of the i-th augmentation step.  Consecutive digraphs share the
+    rows that a step left unchanged.  The counter tuples have one entry
+    per step.
     """
 
     steps: tuple[ArcListDigraph, ...]
@@ -127,7 +260,10 @@ def augment(G: Graph, c: int, *, drop_above: int | None = None) -> AugmentationT
 
     The trace holds c + 1 digraphs.  drop_above discards candidates
     heavier than the given bound outright; the distance module explains
-    why that cannot change any of its answers.
+    why that cannot change any of its answers.  The first step is full;
+    each later one reads the delta of the step before (see the module
+    docstring).  Once a step changes nothing, so does every later one,
+    and the remaining entries repeat its digraph with zero counters.
     """
     if c < 1:
         raise DomainError(f"step count must be >= 1, got {c}")
@@ -137,8 +273,13 @@ def augment(G: Graph, c: int, *, drop_above: int | None = None) -> AugmentationT
     t_added: list[int] = []
     f_added: list[int] = []
     f_delta: list[int] = []
-    for _ in range(c):
-        nxt, stats = _step(steps[-1], drop_above)
+    changed: Sequence[dict[int, int]] = first.D
+    for i in range(c):
+        dg = steps[-1]
+        if not any(changed):
+            nxt, stats = dg, StepStats(0, 0, 0)
+        else:
+            nxt, stats, changed = _step(dg, changed, drop_above, track=i < c - 1)
         steps.append(nxt)
         mds.append(nxt.md)
         t_added.append(stats.transitivity_added)

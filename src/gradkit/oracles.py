@@ -1,21 +1,25 @@
 """Brute-force oracles used to check the fast algorithms.
 
 Everything here is deliberately naive: plain BFS tables, subset
-enumeration, permutation search, candidate lists.  Beyond the Graph and
-ArcListDigraph containers, the checkers share two core helpers with the
-code they check: is_centered and is_p_centered walk the connected vertex
-sets from core.connected_sets, and they and longest_path read the graph
-as core.neighbour_masks.  Every other checker uses no core helper.
+enumeration, permutation search, candidate lists, a full augmentation
+step.  Beyond the Graph and ArcListDigraph containers, the checkers share
+a few helpers with the code they check: is_centered and is_p_centered
+walk the connected vertex sets from core.connected_sets, and they and
+longest_path read the graph as core.neighbour_masks; naive_step orients
+its new fraternity edges with build_graph and orient, as the step it
+checks does.  Every other checker uses no core helper.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from itertools import combinations, permutations, product
 
 from .coloring import DEFAULT_CERTIFY_LIMIT, Coloring
-from .core import ArcListDigraph, Graph, connected_sets, neighbour_masks
+from .core import ArcListDigraph, Graph, build_graph, connected_sets, neighbour_masks
 from .errors import SizeLimitError
+from .orientation import orient
 
 INF = -1  # sentinel for "unreachable" in distance tables
 
@@ -201,3 +205,68 @@ def fraternity_edges(dg: ArcListDigraph) -> list[tuple[int, int, int]]:
         for row in dg.D
         for (x, wx), (y, wy) in combinations(row.items(), 2)
     ]
+
+
+def naive_step(
+    dg: ArcListDigraph, drop_above: int | None
+) -> tuple[ArcListDigraph, tuple[int, int, int]]:
+    """One full augmentation step, the reference for augmentation._step.
+
+    Regenerates every transitivity candidate and every fraternity pair of
+    dg, then orients the new fraternity edges as the step does.  Returns
+    the digraph and (transitivity_added, fraternity_added,
+    fraternity_delta_max).
+    """
+    n = dg.n
+    old = dg.D
+    rows = [dict(row) for row in old]
+    cap = math.inf if drop_above is None else drop_above
+
+    trans_added = 0
+    for v in range(1, n + 1):
+        row = rows[v]
+        for u, w1 in old[v].items():
+            for x, w2 in old[u].items():
+                w = w1 + w2
+                if x == v or w > cap:
+                    continue
+                cur = row.get(x)
+                if cur is None:
+                    row[x] = w
+                    trans_added += 1
+                elif w < cur:
+                    row[x] = w
+
+    frat: dict[tuple[int, int], int] = {}
+    for row in old:
+        for (x, wx), (y, wy) in combinations(row.items(), 2):
+            w = wx + wy
+            key = (min(x, y), max(x, y))
+            if w <= cap and frat.get(key, w + 1) > w:
+                frat[key] = w
+
+    leftover: list[tuple[int, int]] = []
+    for (x, y), w in frat.items():
+        if x in rows[y] or y in rows[x]:
+            if rows[y].get(x, w) > w:
+                rows[y][x] = w
+            if rows[x].get(y, w) > w:
+                rows[x][y] = w
+        else:
+            leftover.append((x, y))
+
+    frat_delta_max = 0
+    if leftover:
+        fdg, forder = orient(build_graph(n, leftover))
+        frat_delta_max = forder.delta_max
+        for (src, dst, _) in fdg.arcs():
+            rows[dst][src] = frat[(min(src, dst), max(src, dst))]
+
+    new = ArcListDigraph(
+        n=n,
+        m=sum(len(row) for row in rows),
+        D=tuple(rows),
+        md=max((len(row) for row in rows), default=0),
+    )
+    return new, (trans_added, len(leftover), frat_delta_max)
+

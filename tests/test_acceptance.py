@@ -99,11 +99,25 @@ def test_criterion_1_orientation_bound_and_speed():
         f"{len(corpus)} graphs, violations: {bad[:5]}",
     )
 
-    points = []
-    for k, reps in ((100, 7), (200, 4), (400, 2)):
-        G = grid(k, k)
-        points.append((G.n + G.m, timed(lambda: orient(G), repeats=reps)))
-    exponent = fit_exponent(points)
+    # Each sample is a block of calls of about the same length at every
+    # size (16, 4 and 1 calls), so a short fast spell of the machine cannot
+    # favour the small grid.  The three sizes are timed back to back in
+    # each of 9 rounds, which share the machine's speed of the moment; the
+    # exponent is the median of the rounds' fits.
+    sizes = ((100, 16), (200, 4), (400, 1))
+    graphs = [(grid(k, k), calls) for k, calls in sizes]
+    fits = []
+    for _ in range(9):
+        points = []
+        for G, calls in graphs:
+
+            def block():
+                for _ in range(calls):
+                    orient(G)
+
+            points.append((G.n + G.m, timed(block, repeats=1) / calls))
+        fits.append(fit_exponent(points))
+    exponent = sorted(fits)[len(fits) // 2]
     report("criterion-1 orientation scaling exponent <= 1.15", exponent <= 1.15, f"{exponent:.3f}")
     elapsed = time.perf_counter() - t_start
     report("criterion-1 suite under 5 minutes", elapsed < 300, f"{elapsed:.1f}s")
@@ -524,9 +538,7 @@ def test_criterion_8_augmentation_linearity():
     points = []
     for k in (100, 200, 400):
         G = grid(k, k)
-        t0 = time.perf_counter()
-        augment(G, 2)
-        points.append((G.n, time.perf_counter() - t0))
+        points.append((G.n, timed(lambda: augment(G, 2), repeats=3)))
     exponent = fit_exponent(points)
     report(
         "criterion-8 augment c=2 scaling exponent <= 1.25 on grids (1e4..1.6e5 vertices)",

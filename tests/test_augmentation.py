@@ -1,14 +1,18 @@
 import hashlib
 
 import pytest
+from hypothesis import example, given, settings
 
-from gradkit.augmentation import _step, augment
+from gradkit.augmentation import StepStats, _step, augment
 from gradkit.core import build_digraph, build_graph, underlying_graph
 from gradkit.errors import DomainError
 from gradkit.generators import clique, cycle, grid, path, random_regular, star
 from gradkit.gradoracle import grad
 from gradkit.harness import check_closure_step
-from gradkit.oracles import bfs_all_pairs, fraternity_edges, transitivity_arcs
+from gradkit.oracles import bfs_all_pairs, fraternity_edges, naive_step, transitivity_arcs
+from gradkit.orientation import orient
+
+from conftest import raw_graphs
 
 SAMPLE = [
     path(6),
@@ -52,14 +56,14 @@ def test_fraternity_duplicates_kept():
 
 def test_step_directed_path():
     dg = build_digraph(3, [(1, 2), (2, 3)])
-    out, _ = _step(dg, None)
+    out, _, _ = _step(dg, dg.D, None)
     arcs = {(u, v): w for (u, v, w) in out.arcs()}
     assert arcs == {(1, 2): 1, (2, 3): 1, (1, 3): 2}
 
 
 def test_step_fraternity_one_direction():
     dg = build_digraph(3, [(1, 3), (2, 3)])
-    out, _ = _step(dg, None)
+    out, _, _ = _step(dg, dg.D, None)
     arcs = {(u, v): w for (u, v, w) in out.arcs()}
     assert arcs.get((1, 3)) == 1 and arcs.get((2, 3)) == 1
     assert ((1, 2) in arcs) != ((2, 1) in arcs)
@@ -69,7 +73,7 @@ def test_step_fraternity_one_direction():
 
 def test_step_arcless_identity():
     dg = build_digraph(4, [])
-    out, _ = _step(dg, None)
+    out, _, _ = _step(dg, dg.D, None)
     assert out.m == 0
 
 
@@ -229,3 +233,84 @@ def test_rows_match_pinned_digest():
     assert _rows_digest(augment(random_regular(30, 3, 1), 3, drop_above=3)) == (
         "995189d2df4cf08e76df0bdc9d01491e1b742348607f518241270b513c01f422"
     )
+
+
+def _rows(dg):
+    return [list(row.items()) for row in dg.D]
+
+
+@settings(deadline=None)
+@given(raw_graphs(max_n=30, max_m=60))
+# small graphs on which a step goes wrong if its delta leaves out lowered
+# arcs, or if its fraternity skips pairs of a changed and an unchanged arc
+@example(
+    build_graph(
+        16,
+        [(1, 2), (1, 8), (1, 16), (2, 11), (2, 12), (4, 6), (4, 10), (5, 15)]
+        + [(6, 11), (6, 14), (6, 16), (8, 15), (9, 10), (9, 12), (13, 14), (13, 15)],
+    )
+)
+@example(build_graph(5, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 5), (4, 5)]))
+def test_semi_naive_steps_match_naive_chain(G):
+    # every row of every step, in order and weight, and every counter, must
+    # be what the full step of gradkit.oracles builds from the previous
+    # naive digraph
+    for d in (None, 1, 2, 3, 5):
+        for c in range(1, 6):
+            trace = augment(G, c, drop_above=d)
+            dg = orient(G)[0]
+            assert _rows(trace.steps[0]) == _rows(dg)
+            for i in range(c):
+                dg, stats = naive_step(dg, d)
+                got = trace.steps[i + 1]
+                assert _rows(got) == _rows(dg), (d, c, i + 1)
+                assert (got.m, got.md) == (dg.m, dg.md)
+                assert (
+                    trace.transitivity_added[i],
+                    trace.fraternity_added[i],
+                    trace.fraternity_delta_max[i],
+                ) == stats
+
+
+def test_reverse_arc_takes_skipped_fraternity_weight():
+    # The 6-cycle 1-4-2-6-3-5-1.  Arcs 5 -> 1 (weight 1) and 3 -> 1 (2)
+    # are unchanged by step 2, so step 3 skips their fraternity pair {3, 5}
+    # at head 1; step 2 already used it on the old arc 3 -> 5.  Step 3's
+    # transitivity then adds the reverse arc 5 -> 3, heavier than 3, and
+    # the full step lowers it to the skipped pair's weight 3.  Likewise
+    # 2 -> 5 gets weight 3 from the unchanged arcs 2 -> 4 and 5 -> 4.
+    G = build_graph(6, [(1, 4), (1, 5), (2, 4), (2, 6), (3, 5), (3, 6)])
+    trace = augment(G, 3)
+    before, after = trace.steps[2].D, trace.steps[3].D
+    assert before[5][3] == 1 and 5 not in before[3]
+    assert before[1][5] + before[1][3] == 3
+    assert after[3][5] == 3
+    assert before[4][2] + before[4][5] == 3 and 2 not in before[5]
+    assert after[5][2] == 3
+    assert _rows(trace.steps[3]) == _rows(naive_step(trace.steps[2], None)[0])
+
+
+def test_step_reports_its_delta():
+    # each delta row lists, in row order and with the new weights, every
+    # arc the step added or lowered; it may list unchanged arcs as well
+    for G in SAMPLE:
+        dg = orient(G)[0]
+        changed = dg.D
+        for _ in range(3):
+            out, _, delta = _step(dg, changed, None)
+            for v in range(1, dg.n + 1):
+                new = list(out.D[v].items())
+                assert [e for e in new if e in delta[v].items()] == list(delta[v].items())
+                assert all(x in delta[v] for x, w in new if dg.D[v].get(x) != w)
+            dg, changed = out, delta
+    # from a delta with no arcs, nothing changes and dg itself comes back
+    same, stats, delta = _step(dg, [{}] * (dg.n + 1), None)
+    assert same is dg and stats == StepStats(0, 0, 0) and not any(delta)
+
+
+def test_unchanged_rows_are_shared_between_steps():
+    trace = augment(grid(6, 6), 4, drop_above=3)
+    for a, b in zip(trace.steps, trace.steps[1:]):
+        for v in range(1, a.n + 1):
+            if a.D[v] == b.D[v] and list(a.D[v]) == list(b.D[v]):
+                assert a.D[v] is b.D[v]
