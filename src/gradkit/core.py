@@ -78,48 +78,25 @@ def _check_vertex(x: int, n: int, what: str) -> None:
 def build_graph(n: int, raw_edges: EdgeList) -> Graph:
     """Build a simple Graph from a raw edge list.
 
-    Loops are dropped and parallel edges are collapsed.  Deduplication uses
-    a two-pass bucket sort (by max endpoint, then by min endpoint), so the
-    whole construction is linear in n + len(raw_edges).
+    Loops are dropped and parallel edges are collapsed.  One pass over the
+    edges fills the neighbour lists, each list is deduplicated and sorted
+    on its own, and the edge list is read off the sorted lists, so the
+    cost is linear in n + len(raw_edges) plus the sorting of the lists.
     """
     if n < 0:
         raise InputError(f"vertex count {n} is negative")
-    norm: list[Edge] = []
+    rows: list[list[int]] = [[] for _ in range(n + 1)]
     for pair in raw_edges:
         u, v = pair[0], pair[1]
-        _check_vertex(u, n, f"edge ({u}, {v})")
-        _check_vertex(v, n, f"edge ({u}, {v})")
-        if u == v:
-            continue
-        norm.append((u, v) if u < v else (v, u))
-
-    # two-pass bucket sort: stable pass on the max endpoint, then on the min
-    buckets: list[list[Edge]] = [[] for _ in range(n + 1)]
-    for e in norm:
-        buckets[e[1]].append(e)
-    by_max = [e for bucket in buckets for e in bucket]
-    for bucket in buckets:
-        bucket.clear()
-    for e in by_max:
-        buckets[e[0]].append(e)
-
-    edges: list[Edge] = []
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    last: Edge | None = None
-    for bucket in buckets:
-        for e in bucket:
-            if e == last:
-                continue
-            last = e
-            edges.append(e)
-            adj[e[0]].append(e[1])
-            adj[e[1]].append(e[0])
-    return Graph(
-        n=n,
-        m=len(edges),
-        edges=tuple(edges),
-        adj=tuple(tuple(sorted(a)) for a in adj),
-    )
+        if not (isinstance(u, int) and 1 <= u <= n and isinstance(v, int) and 1 <= v <= n):
+            _check_vertex(u, n, f"edge ({u}, {v})")
+            _check_vertex(v, n, f"edge ({u}, {v})")
+        if u != v:
+            rows[u].append(v)
+            rows[v].append(u)
+    adj = tuple(tuple(sorted(set(row))) for row in rows)
+    edges = tuple((u, v) for u in range(1, n + 1) for v in adj[u] if v > u)
+    return Graph(n=n, m=len(edges), edges=edges, adj=adj)
 
 
 def build_digraph(n: int, arcs: Iterable[Sequence[int]]) -> ArcListDigraph:
@@ -211,9 +188,21 @@ def connected_components(G: Graph, within: Iterable[int] | None = None) -> list[
 
 
 def is_connected(G: Graph) -> bool:
+    """True if one search from vertex 1 reaches all n vertices."""
     if G.n <= 1:
         return True
-    return len(connected_components(G)) == 1
+    adj = G.adj
+    seen = [False] * (G.n + 1)
+    seen[1] = True
+    stack = [1]
+    reached = 1
+    while stack:
+        for w in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+                reached += 1
+    return reached == G.n
 
 
 def neighbour_masks(G: Graph) -> list[int]:

@@ -4,16 +4,22 @@ turns a sub-exponential expansion bound into a sublinear separator.
 separate_or_minor first tries to assemble h disjoint connected branch
 sets, pairwise joined by an edge, each of radius at most the depth budget
 (grown as pruned BFS trees reaching a neighbour of every earlier set).
-When the greedy assembly stalls it falls back to a separator built by
-ball growing: grow a breadth-first ball until a layer is small relative
-to the ball (the layer goes into the separator), and when no small layer
-exists before the component is engulfed, cut its thinnest layer, the one
-nearest the middle among equally thin ones.  That cut need not balance
-the sides (layer 0 is always a thinnest layer), so a side left with more
-than ceil(2n/3) vertices is split again, until every component left by
-the separator has at most ceil(2n/3) vertices.  At most one component is
-ever that large, so only it is followed: each split costs the ball it
-grows plus the pieces it cuts away, not a search of all that is left.
+A new set can reach an earlier one only through an unused vertex next to
+it, so the search gives up as soon as some set has none left (it is
+sealed), without trying another start.  When the greedy assembly stalls
+it falls back to a separator built by ball growing: grow a breadth-first
+ball until a layer is small relative to the ball (the layer goes into the
+separator), and when no small layer exists before the component is
+engulfed, cut its thinnest layer, the one nearest the middle among
+equally thin ones.  That cut need not balance the sides (layer 0 is
+always a thinnest layer), so a side left with more than ceil(2n/3)
+vertices is split again, until every component left by the separator has
+at most ceil(2n/3) vertices.  At most one component is ever that large,
+so only it is followed: each split costs the ball it grows plus the
+pieces it cuts away, not a search of all that is left.
+Every piece cut away is a component of the final G - S, so the largest
+component fraction comes from the sizes ball growing counts as it cuts,
+without another search of G - S.
 
 Both outcomes carry machine-checkable certificates; validate() re-checks
 them from scratch.
@@ -109,6 +115,11 @@ def _attach_bfs(
     return branch, attach
 
 
+def _sealed(adj: tuple[tuple[int, ...], ...], used: list[bool], branch: set[int]) -> bool:
+    """True if no unused vertex is adjacent to the branch set."""
+    return all(used[w] for v in branch for w in adj[v])
+
+
 def _greedy_minor(
     G: Graph, h: int, budget: int, attempts: int
 ) -> tuple[list[set[int]], dict[tuple[int, int], tuple[int, int]]] | None:
@@ -142,17 +153,35 @@ def _greedy_minor(
             break
         if not found:
             return None
+        # _attach_bfs reaches set i only from an unused vertex next to it, so
+        # once a set has none, every later attempt fails
+        if len(nodes) < h and any(_sealed(G.adj, used, b) for b in nodes):
+            return None
     return nodes, pair_edges
 
 
-def _kill(adj: tuple[tuple[int, ...], ...], alive: list[bool], stack: list[int]) -> None:
+def _kill(adj: tuple[tuple[int, ...], ...], alive: list[bool], stack: list[int]) -> int:
     """Mark dead every live vertex reachable from stack, whose vertices
-    are dead already."""
+    are dead already.  Returns how many it marked."""
+    killed = 0
     while stack:
         for w in adj[stack.pop()]:
             if alive[w]:
                 alive[w] = False
                 stack.append(w)
+                killed += 1
+    return killed
+
+
+def _drop_pieces(adj: tuple[tuple[int, ...], ...], alive: list[bool], seeds: list[int]) -> int:
+    """Mark dead the pieces of live vertices that hold the seeds, one
+    search per piece.  Returns the size of the largest, 0 if none."""
+    largest = 0
+    for s in seeds:
+        if alive[s]:
+            alive[s] = False
+            largest = max(largest, 1 + _kill(adj, alive, [s]))
+    return largest
 
 
 def _keep_big_piece(
@@ -161,7 +190,7 @@ def _keep_big_piece(
     seeds: list[int],
     total: int,
     bound: int,
-) -> int:
+) -> tuple[int, int]:
     """Keep alive only the piece of more than bound vertices, if any.
 
     The live vertices form pieces that hold total vertices together, and
@@ -170,7 +199,8 @@ def _keep_big_piece(
     at most one search is unfinished, every finished search holds a whole
     piece, and the unfinished one holds the rest.  Every piece but the
     big one is marked dead.  Returns the size of the big piece, 0 if none
-    (the live vertices are then left as they are).
+    (the live vertices are then left as they are), and the size of the
+    largest other piece.
     """
     owner: dict[int, int] = {}
     root = list(range(len(seeds)))
@@ -217,24 +247,29 @@ def _keep_big_piece(
     for r in active:  # the unfinished search's piece holds all the rest
         sizes[r] = total - sum(k for q, k in sizes.items() if q != r)
     keep = next((r for r, k in sizes.items() if k > bound), None)
+    rest = max((k for r, k in sizes.items() if r != keep), default=0)
     if keep is None:
-        return 0
+        return 0, rest
     for v, j in owner.items():
         if find(j) != keep:
             alive[v] = False
     for r in active:
         if r != keep:
             _kill(adj, alive, todo[r])
-    return sizes[keep]
+    return sizes[keep], rest
 
 
-def _balanced_separator(G: Graph, l: int) -> set[int]:
-    """Ball-growing separator of a connected G.
+def _ball_growing(G: Graph, l: int) -> tuple[set[int], int]:
+    """Ball-growing separator S of a connected G, and the size of the
+    largest component of G - S.
 
     Every component left has at most ceil(2n/3) vertices.  Each cut takes
     a BFS layer grown from the least vertex of the component C being
     split, and leaves at most one component above ceil(2n/3) (two would
     hold more than n vertices); that one is split next.  alive marks C.
+    C is a component of G - S, so every piece a cut leaves beside the
+    next C is a component of the final G - S, and its size is counted
+    where the cut already searches it.
     """
     n = G.n
     adj = G.adj
@@ -245,6 +280,7 @@ def _balanced_separator(G: Graph, l: int) -> set[int]:
     seen = [0] * (n + 1)  # stamp of the last split whose BFS reached the vertex
     stamp = 0
     low = 1  # C only shrinks, so its least vertex only moves up
+    largest = n if size <= bound else 0  # of the components that are final
 
     def grow(layer: list[int]) -> list[int]:
         nxt = []
@@ -296,16 +332,26 @@ def _balanced_separator(G: Graph, l: int) -> set[int]:
         outer = size - inner - len(layers[cut])
         seeds = layers[cut + 1]  # every piece beyond the cut has one
         if inner > bound:  # the ball before the cut is connected
-            for v in seeds:
-                alive[v] = False
-            _kill(adj, alive, seeds)
+            largest = max(largest, _drop_pieces(adj, alive, seeds))
             size = inner
             continue
+        largest = max(largest, inner)
         for q in range(cut):
             for v in layers[q]:
                 alive[v] = False
-        size = _keep_big_piece(adj, alive, seeds, outer, bound) if outer > bound else 0
-    return S
+        if outer > bound:
+            size, rest = _keep_big_piece(adj, alive, seeds, outer, bound)
+            largest = max(largest, rest)
+        else:
+            size = 0
+            if outer > largest:  # else no piece beyond the cut is larger
+                largest = max(largest, _drop_pieces(adj, alive, seeds))
+    return S, largest
+
+
+def _balanced_separator(G: Graph, l: int) -> set[int]:
+    """The ball-growing separator alone."""
+    return _ball_growing(G, l)[0]
 
 
 def separate_or_minor(
@@ -346,12 +392,10 @@ def separate_or_minor(
             adjacency_edges=tuple(sorted(pair_edges.items())),
         )
 
-    S = _balanced_separator(G, l)
-    comps = connected_components(G, within=[v for v in range(1, n + 1) if v not in S])
-    biggest = max((len(c) for c in comps), default=0)
+    S, largest = _ball_growing(G, l)
     return Separator(
         vertices=frozenset(S),
-        largest_component_fraction=biggest / n,
+        largest_component_fraction=largest / n,
         size_bound=c1 * (n / l + 4.0 * l * h * h * log2n),
     )
 
@@ -374,11 +418,13 @@ def validate(
         if len(S) > c1 * (n / l + 4.0 * l * h * h * log2n):
             return False
         rest = [v for v in range(1, n + 1) if v not in S]
-        bound = -(-2 * n // 3)
-        return all(len(c) <= bound for c in connected_components(G, within=rest))
+        largest = max(map(len, connected_components(G, within=rest)), default=0)
+        if outcome.largest_component_fraction != (largest / n if n else 0.0):
+            return False
+        return largest <= -(-2 * n // 3)
     if isinstance(outcome, MinorWitness):
         sets = outcome.branch_sets
-        if len(sets) != h:
+        if len(sets) != h or len(outcome.radii) != h:
             return False
         seen: set[int] = set()
         for b in sets:

@@ -10,6 +10,7 @@ from gradkit.core import (
     induced_radius,
     induced_subgraph,
     connected_components,
+    is_connected,
     neighbour_masks,
     underlying_graph,
 )
@@ -48,6 +49,24 @@ def test_build_graph_removes_loops_and_sorts():
 def test_build_graph_out_of_range():
     with pytest.raises(InputError, match=r"\(1, 7\)"):
         build_graph(5, [(1, 7)])
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=40)
+        )
+    )
+)
+def test_build_graph_matches_reference(case):
+    # the drawn pairs repeat, hold loops and come in both orientations
+    n, pairs = case
+    G = build_graph(n, pairs)
+    want = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    assert G.edges == tuple(want) and G.m == len(want)
+    for v in range(1, n + 1):
+        assert G.adj[v] == tuple(sorted({a + b - v for a, b in want if v in (a, b)}))
+    assert G.adj[0] == ()
 
 
 def test_build_digraph_matches_worked_example():
@@ -182,6 +201,11 @@ def test_connected_components():
     G = build_graph(6, [(1, 2), (4, 5)])
     assert connected_components(G) == [[1, 2], [3], [4, 5], [6]]
     assert connected_components(G, within=[1, 4, 5]) == [[1], [4, 5]]
+
+
+@given(raw_graphs())
+def test_is_connected_matches_components(G):
+    assert is_connected(G) == (len(connected_components(G)) <= 1)
 
 
 def test_textio_graph_round_trip():

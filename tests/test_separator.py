@@ -12,10 +12,12 @@ from gradkit.errors import DisconnectedError, DomainError, InputError
 from gradkit.generators import clique, grid, path, random_regular, star, subdivided_clique
 from gradkit.gradoracle import evaluate_family
 from gradkit.harness import fit_exponent
+import gradkit.separator as separator
 from gradkit.separator import (
     MinorWitness,
     Separator,
     _balanced_separator,
+    _ball_growing,
     choose_z,
     parse_expansion,
     separate_or_minor,
@@ -124,10 +126,66 @@ def connected_graphs(draw, max_n: int = 30) -> Graph:
 def test_separate_or_minor_random_connected(G, l, h):
     outcome = separate_or_minor(G, l, h)
     assert validate(G, outcome, l, h)
-    S = _balanced_separator(G, l)
+    S, largest = _ball_growing(G, l)
     rest = [v for v in range(1, G.n + 1) if v not in S]
-    bound = -(-2 * G.n // 3)
-    assert all(len(c) <= bound for c in connected_components(G, within=rest))
+    sizes = [len(c) for c in connected_components(G, within=rest)]
+    assert largest == max(sizes, default=0)
+    assert largest <= -(-2 * G.n // 3)
+    if isinstance(outcome, Separator):
+        assert outcome.vertices == S
+        assert outcome.largest_component_fraction == largest / G.n
+
+
+def _outcome_digest(o) -> str:
+    if isinstance(o, Separator):
+        fields = ("separator", sorted(o.vertices), o.largest_component_fraction, o.size_bound)
+    else:
+        fields = ("minor", [sorted(b) for b in o.branch_sets], o.radii, o.adjacency_edges)
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+def test_separate_or_minor_matches_pinned_digest():
+    # SHA-256 over every field of the outcome, computed before the minor
+    # search stopped at sealed sets and before the component fraction was
+    # taken from ball growing
+    cases = [
+        (grid(30, 30), 4, 6, "7dc322e3a8d0ce6869c1cd95df64975215ae733c784ed8de5a999ccf887e8058"),
+        (grid(3, 200), 2, 4, "bf23840e27d89d20d158846ea07dba8d4699f816c22a774461c95de7400b47ce"),
+        (random_regular(1000, 3, 1), 1, 4,  # a minor witness
+         "a8f107190ab690255a949a9871dbb8b75881cf9b7dd9e803b4296a3422bf5ecb"),
+        (random_regular(1000, 3, 1), 2, 8,
+         "1c2653bb81b7e1c6e93dc899b99931d9015466caeaefb6e36c16dd1af69c8dbb"),
+        (_ladder_and_bundle(10, 8, 6), 3, 5,
+         "008003bd7fbe1ed8961c51b8e2c276524ce2666a2be42009f434508165a9616c"),
+        (path(500), 1, 3, "ae6e5e9f55638e37a1b5f57a501de7199aded5f9228fe3cbec73d10b8bc08647"),
+        (star(40), 3, 3, "dbdbd33af2a9e219df8b07171ec33d0ba4a87ebf1218385d1634db9432887f0b"),
+        # a star whose leaf 3 goes on as the path 3-6-9-10: the piece {9, 10}
+        # cut away beside a ball that is split again is the largest component
+        (build_graph(12, [(1, v) for v in (2, 3, 4, 5, 7, 8, 11, 12)] + [(3, 6), (6, 9), (9, 10)]),
+         1, 3, "40f4ec7bb476621587bb1883044894efd016f0a0b98fb9cc55106f95f152a4ed"),
+    ]
+    for G, l, h, want in cases:
+        assert _outcome_digest(separate_or_minor(G, l, h)) == want
+
+
+def test_minor_search_stops_at_sealed_set(monkeypatch):
+    attach = separator._attach_bfs
+    calls = []
+
+    def checked(G, start, used, node_id, budget, targets):
+        # every existing branch set still has an unused vertex next to it
+        for i in range(targets):
+            assert any(
+                not used[w] for v in G.vertices() if node_id[v] == i for w in G.adj[v]
+            ), f"attempt {len(calls) + 1} after set {i} was sealed"
+        calls.append(start)
+        return attach(G, start, used, node_id, budget, targets)
+
+    monkeypatch.setattr(separator, "_attach_bfs", checked)
+    G = grid(10, 10)
+    o = separate_or_minor(G, 4, 6)
+    assert isinstance(o, Separator) and validate(G, o, 4, 6)
+    assert calls == [1, 2, 3]  # three sets, the corner set {1} is then sealed
 
 
 def test_separate_or_minor_growth():
@@ -175,9 +233,15 @@ def test_validate_negatives():
         adjacency_edges=(((0, 1), (1, 2)), ((0, 2), (1, 3)), ((1, 2), (2, 3))),
     )
     assert validate(K4, w, 1, 3)
+    # fewer radii than branch sets
+    short = MinorWitness(w.branch_sets, (0, 0), w.adjacency_edges)
+    assert not validate(K4, short, 1, 3)
     # separator leaving a 0.9n component
     P10 = path(10)
     assert not validate(P10, Separator(frozenset({1}), 0.9, 99.0), 1, 3)
+    # the right separator with a wrong largest component fraction
+    assert validate(P10, Separator(frozenset({4, 7}), 0.3, 99.0), 1, 3)
+    assert not validate(P10, Separator(frozenset({4, 7}), 0.5, 99.0), 1, 3)
     # branch sets sharing a vertex
     overlap = MinorWitness(
         branch_sets=(frozenset({1, 2}), frozenset({2, 3}), frozenset({4})),
@@ -253,9 +317,12 @@ def test_sublinear_separator_wrong_bound():
 
 
 def test_sublinear_separator_k1():
-    rep = sublinear_separator(build_graph(1, []), parse_expansion("const:1"))
-    assert isinstance(rep.outcome, Separator)
-    assert rep.outcome.vertices == frozenset()
+    for n in (0, 1):
+        G = build_graph(n, [])
+        rep = sublinear_separator(G, parse_expansion("const:1"))
+        assert isinstance(rep.outcome, Separator)
+        assert rep.outcome.vertices == frozenset()
+        assert validate(G, rep.outcome, rep.l, rep.h)
 
 
 def test_witness_density_is_exactly_half_complete():
