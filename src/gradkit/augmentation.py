@@ -8,6 +8,20 @@ simplification keeps the minimum weight per ordered pair, and the
 fraternity edges that are genuinely new are oriented with the
 low-indegree orientation so the step only adds bounded indegree.
 
+A step makes three passes over the rows it builds.  Transitivity
+min-merges its candidates into them.  Fraternity then visits its pairs.
+A pair whose endpoints are already joined, in either direction, lowers
+the arcs between them in place: only the arcs added in the last pass
+insert anything, so whether a pair is joined cannot change before then.
+Only the unjoined pairs, the leftovers, are tabled with their minimum
+weight, in a map keyed by the lower endpoint.  Last, the leftover pairs
+form a simple graph, and orientation.degeneracy_order, the min-degree
+peeling that orient runs, gives its removal order.  Each pair becomes an
+arc into the endpoint removed first, which is the arc orient would give
+it, and the arcs enter the rows by target, then by ascending source, the
+order in which orient's digraph lists them.  No table of all fraternity
+pairs is built, and no graph or digraph of the leftovers.
+
 augment(G, c) starts from the unit-weight low-indegree orientation of G
 and applies c steps; the trace holds every intermediate digraph along
 with per-step counters.  Steps share rows: a row that a step does not
@@ -48,7 +62,7 @@ from typing import Sequence
 
 from .core import ArcListDigraph, Graph
 from .errors import DomainError
-from .orientation import orient
+from .orientation import degeneracy_order, orient
 
 _UNCHANGED: dict[int, int] = {}  # the delta of a row a step did not touch
 
@@ -130,11 +144,13 @@ def _step(
                         row = rows[v] = dict(ov)
                     row[x] = w
 
-    # fraternity candidates with at least one changed arc: min weight per
-    # unordered pair, frat[x][y] with x < y.  The changed arcs of a row
-    # come first in entries, and each pair with one of them is visited
-    # once; the order of pairs is free.
-    frat: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    # fraternity candidates with at least one changed arc.  The changed
+    # arcs of a row come first in entries, and each pair with one of them
+    # is visited once.  Only the leftover arcs added last insert arcs, so
+    # whether a pair is joined after transitivity stays fixed: a joined
+    # pair lowers its arcs in place, and an unjoined one is tabled with
+    # its minimum weight in left[x][y], x < y.
+    left: dict[int, dict[int, int]] = {}
     for v in range(1, n + 1):
         dv = changed[v]
         if not dv:
@@ -145,19 +161,36 @@ def _step(
         if dv is not ov:
             entries = fresh + [(x, w) for x, w in ov.items() if w < cap and x not in dv]
         for i, (x, wx) in enumerate(fresh):
+            rx = rows[x]
             for y, wy in entries[i + 1 :]:
                 w = wx + wy
                 if w > cap:
                     continue
-                lo, hi = (x, y) if x < y else (y, x)
-                cur = frat[lo].get(hi)
-                if cur is None or w < cur:
-                    frat[lo][hi] = w
+                ry = rows[y]
+                wyx = rx.get(y)
+                wxy = ry.get(x)
+                if wyx is None and wxy is None:
+                    lo, hi = (x, y) if x < y else (y, x)
+                    table = left.get(lo)
+                    if table is None:
+                        left[lo] = {hi: w}
+                    elif table.get(hi, w + 1) > w:
+                        table[hi] = w
+                    continue
+                if wyx is not None and wyx > w:
+                    if rx is old[x]:
+                        rx = rows[x] = dict(rx)
+                    rx[y] = w
+                if wxy is not None and wxy > w:
+                    if ry is old[y]:
+                        ry = rows[y] = dict(ry)
+                    ry[x] = w
 
     # reverse-arc correction: a flagged pair also takes the pairs skipped
     # above, at the heads where both of its arcs are unchanged.  Those
     # pairs weigh at least the old reverse arc, hence only flagged arcs
-    # heavier than it can be lowered by them.
+    # heavier than it can be lowered by them.  A flagged pair is joined
+    # both ways, so it only lowers.
     if flagged:
         partners: dict[int, set[int]] = {}
         for x, y in flagged:
@@ -171,58 +204,47 @@ def _step(
                 if x in dv:
                     continue
                 wx = ov[x]
-                fx = frat[x]
                 for y in partners[x]:
                     wy = ov.get(y)
                     if wy is None or y in dv:
                         continue
                     w = wx + wy
-                    cur = fx.get(y)
-                    if w <= cap and (cur is None or w < cur):
-                        fx[y] = w
+                    if w > cap:
+                        continue
+                    for a, b in ((x, y), (y, x)):
+                        rb = rows[b]
+                        if rb[a] > w:
+                            if rb is old[b]:
+                                rb = rows[b] = dict(rb)
+                            rb[a] = w
 
-    # a fraternity pair already joined in some direction only lowers weights;
-    # the rest form a simple graph that gets the low-indegree orientation
-    leftover: list[tuple[int, int]] = []
-    for x in range(1, n + 1):
-        rx = rows[x]
-        for y, w in frat[x].items():
-            ry = rows[y]
-            if x in ry or y in rx:
-                if ry.get(x, w) > w:
-                    if ry is old[y]:
-                        ry = rows[y] = dict(ry)
-                    ry[x] = w
-                if rx.get(y, w) > w:
-                    if rx is old[x]:
-                        rx = rows[x] = dict(rx)
-                    rx[y] = w
-            else:
-                leftover.append((x, y))
-
+    # the unjoined pairs form a simple graph; each becomes an arc into the
+    # endpoint that its min-degree peeling removes first, inserted by
+    # target and then by ascending source
+    n_left = 0
     frat_delta_max = 0
-    if leftover:
-        # the pairs are distinct, x < y and in range, so the graph that
-        # build_graph would return is assembled without its checks
+    if left:
         adj: list[list[int]] = [[] for _ in range(n + 1)]
-        for x, y in leftover:
-            adj[x].append(y)
-            adj[y].append(x)
-        fg = Graph(
-            n=n,
-            m=len(leftover),
-            edges=tuple(sorted(leftover)),
-            adj=tuple(tuple(sorted(a)) for a in adj),
-        )
-        fdg, forder = orient(fg)
-        frat_delta_max = forder.delta_max
-        for (src, dst, _) in fdg.arcs():
-            row = rows[dst]
-            if row is old[dst]:
-                row = rows[dst] = dict(row)
-            row[src] = frat[min(src, dst)][max(src, dst)]
+        for x, table in left.items():
+            n_left += len(table)
+            for y in table:
+                adj[x].append(y)
+                adj[y].append(x)
+        peel = degeneracy_order(n, adj)
+        frat_delta_max = peel.delta_max
+        rank = [0] * (n + 1)
+        for i, v in enumerate(peel.order):
+            rank[v] = i
+        for x in sorted(left):
+            table = left[x]
+            for y in sorted(table):
+                src, dst = (y, x) if rank[x] < rank[y] else (x, y)
+                row = rows[dst]
+                if row is old[dst]:
+                    row = rows[dst] = dict(row)
+                row[src] = table[y]
 
-    stats = StepStats(trans_added, len(leftover), frat_delta_max)
+    stats = StepStats(trans_added, n_left, frat_delta_max)
     if all(row is orow for row, orow in zip(rows, old)):
         return dg, stats, [_UNCHANGED] * (n + 1) if track else None
     new = ArcListDigraph(
@@ -265,8 +287,8 @@ def augment(G: Graph, c: int, *, drop_above: int | None = None) -> AugmentationT
     docstring).  Once a step changes nothing, so does every later one,
     and the remaining entries repeat its digraph with zero counters.
     """
-    if c < 1:
-        raise DomainError(f"step count must be >= 1, got {c}")
+    if isinstance(c, bool) or not isinstance(c, int) or c < 1:
+        raise DomainError(f"step count must be an int >= 1, got {c!r}")
     first, _ = orient(G)
     steps = [first]
     mds = [first.md]

@@ -64,6 +64,6 @@ class DistanceIndex:
 
 def preprocess(G: Graph, k: int) -> DistanceIndex:
     """Build the horizon-k index: k augmentation steps, arcs heavier than k dropped."""
-    if k < 1:
-        raise DomainError(f"horizon must be >= 1, got {k}")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise DomainError(f"horizon must be an int >= 1, got {k!r}")
     return DistanceIndex(k=k, A=augment(G, k, drop_above=k).final)

@@ -133,7 +133,11 @@ def forest_to_decomposition(F: RootedForest) -> TreeDecomposition:
     joining the roots so the result is a single tree.
 
     Valid for clos(F), hence for any graph contained in the closure;
-    width is max_height(F) - 1.
+    width is max_height(F) - 1.  The chain is no elimination structure:
+    when F has more than one tree, a walk of the decomposition from any
+    node reaches each further root through the roots before it, so a DP
+    that keeps a vertex until it leaves the node that introduced it, as
+    count_on_decomposition does, carries those roots along.
     """
     if F.n == 0:
         return TreeDecomposition(bags=(frozenset(),), tree_edges=())

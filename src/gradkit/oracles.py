@@ -6,8 +6,9 @@ step.  Beyond the Graph and ArcListDigraph containers, the checkers share
 a few helpers with the code they check: is_centered and is_p_centered
 walk the connected vertex sets from core.connected_sets, and they and
 longest_path read the graph as core.neighbour_masks; naive_step orients
-its new fraternity edges with build_graph and orient, as the step it
-checks does.  Every other checker uses no core helper.
+its new fraternity edges with build_graph and orient, where the step it
+checks reads the peeling order alone.  Every other checker uses no core
+helper.
 """
 
 from __future__ import annotations

@@ -89,9 +89,16 @@ def count_on_decomposition(
 
     States are partial injective maps from pattern vertices to bag
     vertices, extended with a done marker for vertices already embedded in
-    forgotten parts; the final tally is divided by |Aut(H)|.  Bags are
-    effectively widened to unions along root paths, which is exact (no
-    widening) for decompositions coming from elimination forests.
+    forgotten parts; the final tally is divided by |Aut(H)|.  The
+    traversal starts at node 0, and a vertex stays in the states from the
+    node that introduces it until that node is left, so the DP runs on the
+    union of the bags along the tree path from node 0, not on each bag
+    alone.  The count is exact either way; only the number of states
+    grows.  For forest_to_decomposition(F) that union is the node's own bag
+    only when F is one tree rooted at vertex 1.  Otherwise node 0, the bag
+    of vertex 1, keeps vertex 1's root path in the states to the end, and
+    when F has several trees the chain through the roots keeps each root
+    in them while the trees beyond it on the chain are traversed.
     """
     pat = H if isinstance(H, Pattern) else make_pattern(H)
     if T.width > width_limit:

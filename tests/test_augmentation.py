@@ -134,6 +134,12 @@ def test_augment_requires_positive_steps():
         augment(path(3), 0)
 
 
+@pytest.mark.parametrize("c", [1.5, 2.0, True, False, "2", None])
+def test_augment_rejects_non_int_steps(c):
+    with pytest.raises(DomainError):
+        augment(path(3), c)
+
+
 def test_closure_properties_small_corpus():
     for G in SAMPLE:
         trace = augment(G, 3)

@@ -1,10 +1,12 @@
-from hypothesis import given
+import random
+
+from hypothesis import given, strategies as st
 
 from gradkit.core import underlying_graph
 from gradkit.generators import clique, cycle, grid, path, random_regular, star
 from gradkit.gradoracle import grad
 from gradkit.harness import digraph_is_acyclic
-from gradkit.orientation import orient
+from gradkit.orientation import DegeneracyOrder, degeneracy_order, orient
 
 from conftest import raw_graphs
 
@@ -60,3 +62,33 @@ def test_removal_order_is_permutation():
     G = grid(2, 5)
     _, order = orient(G)
     assert sorted(order.order) == list(range(1, 11))
+
+
+def _reference_peel(G):
+    """Remove a vertex of least (remaining degree, id) n times."""
+    deg = {v: len(G.adj[v]) for v in range(1, G.n + 1)}
+    order, delta_max = [], 0
+    while deg:
+        v = min(deg, key=lambda u: (deg[u], u))
+        order.append(v)
+        delta_max = max(delta_max, deg.pop(v))
+        for w in G.adj[v]:
+            if w in deg:
+                deg[w] -= 1
+    return DegeneracyOrder(order=tuple(order), delta_max=delta_max)
+
+
+@given(raw_graphs(max_n=40, max_m=120), st.integers(0, 2**32))
+def test_peeling_contract(G, seed):
+    # the peeling that orient and the augmentation step share: the same
+    # order whatever the order of each adjacency list, and every arc of
+    # orient points into whichever endpoint was removed first
+    dg, order = orient(G)
+    assert order == _reference_peel(G)
+    rng = random.Random(seed)
+    shuffled = [rng.sample(a, len(a)) for a in G.adj]
+    assert degeneracy_order(G.n, shuffled) == order
+    rank = {v: i for i, v in enumerate(order.order)}
+    for (u, v, w) in dg.arcs():
+        assert rank[v] < rank[u] and w == 1
+    assert dg.m == G.m
