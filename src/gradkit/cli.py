@@ -99,7 +99,7 @@ def _cmd_dist(args, cfg) -> int:
 
 def _cmd_color(args, cfg) -> int:
     G = textio.read_graph(args.input)
-    col = low_tdepth_coloring(G, args.p, certify_limit=cfg.certification_limit)
+    col = low_tdepth_coloring(G, args.p)
     print(f"# colors = {col.num_colors}")
     for v in range(1, G.n + 1):
         print(f"{v} {col.colors[v]}")
@@ -124,7 +124,7 @@ def _cmd_count(args, cfg) -> int:
     pat = make_pattern(H, limit=cfg.pattern_limit)
     S = textio.read_vertex_set(args.restrict) if args.restrict else None
     check_restriction(G, S)
-    col = low_tdepth_coloring(G, pat.graph.n + 1, certify_limit=cfg.certification_limit)
+    col = low_tdepth_coloring(G, pat.graph.n + 1)
     report = count_isomorphs(G, pat, S, coloring=col)
     print(f"count {report.total}")
     if args.list:

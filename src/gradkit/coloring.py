@@ -7,8 +7,9 @@ either has such a colour or sees at least p distinct colours.  Restricting
 a p-centered coloring to any i <= p - 1 colour classes leaves a centered
 coloring with i colours, so those classes induce a subgraph of tree-depth
 at most i; that induced-tree-depth property is the certificate this module
-checks, since it is exactly what the downstream consumers rely on.  The
-exhaustive (p-)centered checkers are test oracles in gradkit.oracles.
+checks, at every input size, since it is exactly what the downstream
+consumers rely on.  The exhaustive checkers are test oracles in
+gradkit.oracles.
 
 The generator is verify-and-retry: augment the graph, colour the
 augmentation greedily in reverse degeneracy order, certify, and double the
@@ -19,16 +20,14 @@ always-valid fallback, so termination is unconditional.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .core import Graph, connected_components, induced_subgraph, underlying_graph
+from .core import (
+    Graph, bit_indices, connected_components, connected_sets, induced_subgraph, underlying_graph
+)
 from .augmentation import augment
-from .errors import DomainError, NotCenteredError, SizeLimitError
+from .errors import DomainError, NotCenteredError
 from .forests import RootedForest, make_forest
 from .orientation import orient
-from .treedepth import treedepth_decide
-
-DEFAULT_CERTIFY_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -89,57 +88,64 @@ def greedy_coloring(H: Graph) -> Coloring:
     return Coloring(colors=tuple(colors), num_colors=max(colors[1:], default=0))
 
 
-def certify_low_tdepth(
-    G: Graph, coloring: Coloring, p: int, *, limit: int = DEFAULT_CERTIFY_LIMIT
-) -> bool:
-    """Check that every union of i <= p - 1 colour classes induces a
-    subgraph of tree-depth at most i."""
-    if G.n > limit:
-        raise SizeLimitError(
-            f"graph order {G.n} exceeds the certification limit {limit}"
-        )
-    by_color: dict[int, list[int]] = {}
+def color_classes(G: Graph, coloring: Coloring) -> tuple[list[int], list[list[int]], list[int]]:
+    """The sorted used colours, the sorted vertex list of each, and the
+    colour quotient as neighbour masks over their indices: colours c != d
+    are adjacent when a host edge joins their classes."""
+    colors = coloring.colors
+    used = sorted(set(colors[1 : G.n + 1]))
+    index = {c: i for i, c in enumerate(used)}
+    classes: list[list[int]] = [[] for _ in used]
     for v in range(1, G.n + 1):
-        by_color.setdefault(coloring.colors[v], []).append(v)
-    used = sorted(by_color)
-    for i in range(1, p):
-        if i > len(used):
-            break
-        for classes in combinations(used, i):
-            verts = [v for c in classes for v in by_color[c]]
-            if not verts:
-                continue
-            sub, _ = induced_subgraph(G, verts)
-            if not treedepth_decide(sub, i):
-                return False
+        classes[index[colors[v]]].append(v)
+    adjm = [0] * len(used)
+    for (u, v) in G.edges:
+        a, b = index[colors[u]], index[colors[v]]
+        if a != b:
+            adjm[a] |= 1 << b
+            adjm[b] |= 1 << a
+    return used, classes, adjm
+
+
+def restrict(G: Graph, verts: list[int], coloring: Coloring) -> tuple[Graph, Coloring]:
+    """G[verts] and the colouring restricted to it, as centered_to_forest takes them."""
+    sub, ids = induced_subgraph(G, verts)
+    return sub, Coloring((0,) + tuple(coloring.colors[v] for v in ids), coloring.num_colors)
+
+
+def certify_low_tdepth(G: Graph, coloring: Coloring, p: int) -> bool:
+    """Check that every union of i <= p - 1 colour classes induces a
+    subgraph of tree-depth at most i, at any size: each colour set C
+    connected in the quotient (a disconnected one induces the disjoint
+    union of its parts) must yield a centered_to_forest forest, of height
+    <= |C|.  p-centered colourings pass.  One forest per set, quadratic in
+    the union's order."""
+    _, classes, adjm = color_classes(G, coloring)
+    for C in connected_sets(adjm, p - 1):
+        verts = [v for i in bit_indices(C) for v in classes[i]]
+        try:
+            centered_to_forest(*restrict(G, verts, coloring))
+        except NotCenteredError:
+            return False
     return True
 
 
-def low_tdepth_coloring(
-    G: Graph, p: int, *, certify_limit: int = DEFAULT_CERTIFY_LIMIT
-) -> Coloring:
+def low_tdepth_coloring(G: Graph, p: int) -> Coloring:
     """Colouring whose every i <= p - 1 classes induce tree-depth <= i.
 
-    Augment-colour-certify with doubling step counts; graphs above the
-    certification limit take the first candidate on trust.  Falls back to
-    the all-distinct (hence centered) colouring, so this always succeeds.
+    Augment-colour-certify with doubling step counts; every candidate goes
+    through certify_low_tdepth, whatever the size of G.  Falls back to the
+    all-distinct (hence centered) colouring, so this always succeeds.
     """
     if p < 1:
         raise DomainError(f"target p must be >= 1, got {p}")
     n = G.n
-    if n == 0:
-        return Coloring(colors=(0,), num_colors=0)
-    if G.m == 0:
-        return Coloring(colors=(0,) + (1,) * n, num_colors=1)
-
     steps = p
     cap = max(4 * p, 2 * n)
     while steps <= cap:
         trace = augment(G, steps)
         candidate = greedy_coloring(underlying_graph(trace.final))
-        if n > certify_limit:
-            return candidate
-        if certify_low_tdepth(G, candidate, p, limit=certify_limit):
+        if certify_low_tdepth(G, candidate, p):
             return candidate
         if trace.transitivity_added[-1] == 0 and trace.fraternity_added[-1] == 0:
             break  # augmentation saturated; more steps change nothing

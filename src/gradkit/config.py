@@ -19,7 +19,6 @@ ENV_VAR = "GRADKIT_CONFIG"
 class Config:
     oracle_limit_r0: int = 16
     oracle_limit: int = 12
-    certification_limit: int = 20
     exact_treedepth_limit: int = 20
     pattern_limit: int = 5
     separator_c1: float = 4.0

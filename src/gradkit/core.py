@@ -9,8 +9,8 @@ there an arc x -> y" is x in D[y] and costs O(1).
 Both containers are immutable after construction (no code mutates a
 digraph row once it is built) and safe to share across threads.  The module also holds the small-graph primitives that the exact
 oracles and the counting pipeline share: neighbour_masks, connected_sets
-(every connected vertex set of a graph given as neighbour bitmasks) and
-induced_radius.
+(every connected vertex set of a graph given as neighbour bitmasks),
+bit_indices and induced_radius.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def connected_sets(adjm: Sequence[int], k: int) -> Iterator[int]:
     above s, and a branch never takes a bit that an earlier sibling branch
     took, so no set is reached twice.  Sets come in depth-first pre-order.
     """
-    for s in range(len(adjm)):
+    for s in range(len(adjm) if k > 0 else 0):
         above = -1 << (s + 1)
         stack = [(1 << s, adjm[s] & above, 0, 1)]  # (set, frontier, banned, size)
         while stack:
@@ -239,6 +239,16 @@ def connected_sets(adjm: Sequence[int], k: int) -> Iterator[int]:
                 grown = S | high
                 reach = (frontier | adjm[high.bit_length() - 1] & above) & ~grown
                 stack.append((grown, reach, banned | ext, size + 1))
+
+
+def bit_indices(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def induced_radius(G: Graph, vertices: Iterable[int]) -> int | None:

@@ -1,8 +1,9 @@
 """Rooted forests, their closures, and the forest -> tree-decomposition map.
 
 A rooted forest of height p whose closure contains G immediately gives a
-tree-decomposition of width p - 1: keep the forest as the tree and let the
-bag of each vertex be its root path.
+tree-decomposition of width p - 1: keep the forest as the tree, hang its
+roots off one node with an empty bag, and let the bag of each vertex be
+its root path.
 """
 
 from __future__ import annotations
@@ -129,26 +130,19 @@ class TreeDecomposition:
 
 
 def forest_to_decomposition(F: RootedForest) -> TreeDecomposition:
-    """Bags are root paths; tree edges are the parent links plus a chain
-    joining the roots so the result is a single tree.
+    """Node 0 has an empty bag and node v the root path of v; the tree
+    edges are the parent links (F.parent[v], v), so the roots of F hang
+    off node 0 and the result is a single tree.
 
     Valid for clos(F), hence for any graph contained in the closure;
-    width is max_height(F) - 1.  The chain is no elimination structure:
-    when F has more than one tree, a walk of the decomposition from any
-    node reaches each further root through the roots before it, so a DP
-    that keeps a vertex until it leaves the node that introduced it, as
-    count_on_decomposition does, carries those roots along.
+    width is max_height(F) - 1.  Walking the tree from node 0, a vertex is
+    the only one its node adds to its parent's bag, so a DP that forgets
+    it on leaving that node, as count_on_decomposition does, holds exactly
+    the current root path and drops each tree's root before the next tree.
     """
-    if F.n == 0:
-        return TreeDecomposition(bags=(frozenset(),), tree_edges=())
-    bags: list[frozenset[int]] = [frozenset()] * F.n
-    for v in range(1, F.n + 1):
-        bags[v - 1] = frozenset(F.root_path(v))
-    edges = [(F.parent[v] - 1, v - 1) for v in range(1, F.n + 1) if F.parent[v] != 0]
-    roots = F.roots
-    for i in range(len(roots) - 1):
-        edges.append((roots[i] - 1, roots[i + 1] - 1))
-    return TreeDecomposition(bags=tuple(bags), tree_edges=tuple(edges))
+    bags = [frozenset()] + [frozenset(F.root_path(v)) for v in range(1, F.n + 1)]
+    edges = tuple((F.parent[v], v) for v in range(1, F.n + 1))
+    return TreeDecomposition(bags=tuple(bags), tree_edges=edges)
 
 
 def validate_decomposition(G: Graph, T: TreeDecomposition) -> bool:

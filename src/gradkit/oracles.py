@@ -2,13 +2,14 @@
 
 Everything here is deliberately naive: plain BFS tables, subset
 enumeration, permutation search, candidate lists, a full augmentation
-step.  Beyond the Graph and ArcListDigraph containers, the checkers share
-a few helpers with the code they check: is_centered and is_p_centered
-walk the connected vertex sets from core.connected_sets, and they and
-longest_path read the graph as core.neighbour_masks; naive_step orients
-its new fraternity edges with build_graph and orient, where the step it
-checks reads the peeling order alone.  Every other checker uses no core
-helper.
+step, exact tree-depth per union of colour classes.  Beyond the Graph and
+ArcListDigraph containers, the checkers share a few helpers with the code
+they check: is_centered and is_p_centered walk the connected vertex sets
+from core.connected_sets, and they and longest_path read the graph as
+core.neighbour_masks; brute_low_tdepth runs treedepth_decide on
+core.induced_subgraph; naive_step orients its new fraternity edges with
+build_graph and orient, where the step it checks reads the peeling order
+alone.  Every other checker uses no core helper.
 """
 
 from __future__ import annotations
@@ -17,12 +18,16 @@ import math
 from collections import Counter
 from itertools import combinations, permutations, product
 
-from .coloring import DEFAULT_CERTIFY_LIMIT, Coloring
-from .core import ArcListDigraph, Graph, build_graph, connected_sets, neighbour_masks
+from .coloring import Coloring
+from .core import (
+    ArcListDigraph, Graph, build_graph, connected_sets, induced_subgraph, neighbour_masks
+)
 from .errors import SizeLimitError
 from .orientation import orient
+from .treedepth import treedepth_decide
 
 INF = -1  # sentinel for "unreachable" in distance tables
+CERTIFY_LIMIT = 20  # order above which the colouring checkers refuse
 
 
 def bfs_distances(G: Graph, source: int) -> list[int]:
@@ -156,12 +161,12 @@ def brute_has_induced(G: Graph, H: Graph) -> bool:
     return False
 
 
-def _centered_everywhere(G: Graph, coloring: Coloring, p: int | None, limit: int) -> bool:
+def _centered_everywhere(G: Graph, coloring: Coloring, p: int | None) -> bool:
     """Every connected vertex set has a colour occurring once in it, or
     (with p) at least p distinct colours.  A connected subgraph violates
     the condition iff its vertex set does, so the sets are enough."""
-    if G.n > limit:
-        raise SizeLimitError(f"graph order {G.n} exceeds the certification limit {limit}")
+    if G.n > CERTIFY_LIMIT:
+        raise SizeLimitError(f"graph order {G.n} exceeds the certification limit {CERTIFY_LIMIT}")
     colors = coloring.colors
     for S in connected_sets(neighbour_masks(G), G.n):
         counts = Counter(colors[i + 1] for i in range(G.n) if S >> i & 1)
@@ -170,18 +175,32 @@ def _centered_everywhere(G: Graph, coloring: Coloring, p: int | None, limit: int
     return True
 
 
-def is_centered(G: Graph, coloring: Coloring, *, limit: int = DEFAULT_CERTIFY_LIMIT) -> bool:
+def is_centered(G: Graph, coloring: Coloring) -> bool:
     """Every connected subgraph has a uniquely occurring colour (exhaustive)."""
-    return _centered_everywhere(G, coloring, None, limit)
+    return _centered_everywhere(G, coloring, None)
 
 
-def is_p_centered(
-    G: Graph, coloring: Coloring, p: int, *, limit: int = DEFAULT_CERTIFY_LIMIT
-) -> bool:
+def is_p_centered(G: Graph, coloring: Coloring, p: int) -> bool:
     """Unique colour or at least p distinct colours, in every connected subgraph."""
     if p <= 1:
         return True
-    return _centered_everywhere(G, coloring, p, limit)
+    return _centered_everywhere(G, coloring, p)
+
+
+def brute_low_tdepth(G: Graph, coloring: Coloring, p: int) -> bool:
+    """Every union of i <= p - 1 colour classes, connected or not, induces
+    a subgraph of tree-depth at most i (exact tree-depth per union)."""
+    if G.n > CERTIFY_LIMIT:
+        raise SizeLimitError(f"graph order {G.n} exceeds the certification limit {CERTIFY_LIMIT}")
+    by_color: dict[int, list[int]] = {}
+    for v in range(1, G.n + 1):
+        by_color.setdefault(coloring.colors[v], []).append(v)
+    for i in range(1, p):
+        for chosen in combinations(by_color.values(), i):
+            sub, _ = induced_subgraph(G, [v for vs in chosen for v in vs])
+            if not treedepth_decide(sub, i):
+                return False
+    return True
 
 
 def transitivity_arcs(dg: ArcListDigraph) -> list[tuple[int, int, int]]:

@@ -24,10 +24,11 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterator
 
-from .coloring import Coloring, centered_to_forest, low_tdepth_coloring
+from .coloring import Coloring, centered_to_forest, color_classes, low_tdepth_coloring, restrict
 from .core import (
     Graph,
     _check_vertex,
+    bit_indices,
     build_graph,
     connected_components,
     connected_sets,
@@ -94,11 +95,10 @@ def count_on_decomposition(
     node that introduces it until that node is left, so the DP runs on the
     union of the bags along the tree path from node 0, not on each bag
     alone.  The count is exact either way; only the number of states
-    grows.  For forest_to_decomposition(F) that union is the node's own bag
-    only when F is one tree rooted at vertex 1.  Otherwise node 0, the bag
-    of vertex 1, keeps vertex 1's root path in the states to the end, and
-    when F has several trees the chain through the roots keeps each root
-    in them while the trees beyond it on the chain are traversed.
+    grows.  For forest_to_decomposition(F) that union is the node's own
+    bag: node 0 is empty and carries the roots of F as children, so each
+    state holds one root path and each tree's root is forgotten before the
+    next tree is entered.
     """
     pat = H if isinstance(H, Pattern) else make_pattern(H)
     if T.width > width_limit:
@@ -199,45 +199,16 @@ def count_on_decomposition(
     return embeddings // pat.aut_count
 
 
-def _color_classes(G: Graph, col: Coloring) -> tuple[list[int], list[list[int]], list[int]]:
-    """The sorted used colours, the sorted vertex list of each, and the
-    colour quotient as neighbour masks over their indices: colours c != d
-    are adjacent when a host edge joins their classes."""
-    colors = col.colors
-    used = sorted(set(colors[1 : G.n + 1]))
-    index = {c: i for i, c in enumerate(used)}
-    classes: list[list[int]] = [[] for _ in used]
-    for v in range(1, G.n + 1):
-        classes[index[colors[v]]].append(v)
-    adjm = [0] * len(used)
-    for (u, v) in G.edges:
-        a, b = index[colors[u]], index[colors[v]]
-        if a != b:
-            adjm[a] |= 1 << b
-            adjm[b] |= 1 << a
-    return used, classes, adjm
-
-
-def _indices(mask: int) -> list[int]:
-    """The positions of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _connected_unions(
     classes: list[list[int]], adjm: list[int], h: int, S: frozenset[int] | None
 ) -> Iterator[tuple[int, list[int]]]:
     """(C, sorted union of the classes of C) for every colour set C of size
     <= h that is connected in the quotient and whose union has at least h
     vertices and meets S, if S is given; C is a mask over the class
-    indices of _color_classes.  Every other colour set holds no copy
+    indices of coloring.color_classes.  Every other colour set holds no copy
     (meeting S)."""
     for C in connected_sets(adjm, h):
-        verts = sorted(v for i in _indices(C) for v in classes[i])
+        verts = sorted(v for i in bit_indices(C) for v in classes[i])
         if len(verts) < h:
             continue
         if S is not None and not any(v in S for v in verts):
@@ -248,16 +219,16 @@ def _connected_unions(
 def _count_in_union(G: Graph, verts: list[int], col: Coloring, pat: Pattern) -> int:
     """Count pattern copies in G[verts].
 
-    The restricted coloring is centered there whenever the source coloring
-    is p-centered; if it is not (large graphs are colored on trust), fall
-    back to a DFS forest, which is always a valid elimination forest.
+    low_tdepth_coloring(G, h + 1) is certified on every full union; for a
+    union minus S, or a colouring the caller supplied, where the restricted
+    coloring may not be centered, fall back to a DFS forest, which is
+    always a valid elimination forest.
     """
     if len(verts) < pat.graph.n:
         return 0
-    sub, ids = induced_subgraph(G, verts)
+    sub, subcol = restrict(G, verts, col)
     if sub.m < pat.graph.m:
         return 0
-    subcol = Coloring(colors=(0,) + tuple(col.colors[v] for v in ids), num_colors=col.num_colors)
     try:
         forest = centered_to_forest(sub, subcol)
     except NotCenteredError:
@@ -281,7 +252,7 @@ def _exact_counts(
     meets S contributes count(union) - count(union - S), the copies in it
     that meet S.
     """
-    used, classes, adjm = _color_classes(G, col)
+    used, classes, adjm = color_classes(G, col)
     union_counts: dict[int, int] = {}
     for C, verts in _connected_unions(classes, adjm, pat.graph.n, S):
         k = _count_in_union(G, verts, col, pat)
@@ -296,7 +267,7 @@ def _exact_counts(
             k -= exact.get(sub, 0)
             sub = (sub - 1) & C
         exact[C] = k
-    return {frozenset(used[i] for i in _indices(C)): k for C, k in exact.items() if k}
+    return {frozenset(used[i] for i in bit_indices(C)): k for C, k in exact.items() if k}
 
 
 def check_restriction(G: Graph, S: frozenset[int] | None) -> None:
@@ -413,7 +384,7 @@ def list_isomorphs(
     coloring whose length is not n + 1, raise InputError.
     """
     pat, col = _prepare(G, H, S, coloring)
-    used, classes, adjm = _color_classes(G, col)
+    used, classes, adjm = color_classes(G, col)
     bit = {c: 1 << i for i, c in enumerate(used)}
     found: set[Copy] = set()
     for C, verts in _connected_unions(classes, adjm, pat.graph.n, S):

@@ -147,7 +147,7 @@ def test_count_restricted_out_of_range_exit_2(tmp_path, capsys, monkeypatch):
     assert "out of range" in capsys.readouterr().err
 
 
-def test_count_colours_once_with_config_limit(tmp_path, capsys, monkeypatch):
+def test_count_colours_once(tmp_path, capsys, monkeypatch):
     import gradkit.cli as cli
 
     g = tmp_path / "grid.txt"
@@ -156,8 +156,6 @@ def test_count_colours_once_with_config_limit(tmp_path, capsys, monkeypatch):
     pat.write_text(textio.graph_to_text(path(3)))
     s = tmp_path / "s.txt"
     s.write_text("1\n6\n")
-    conf = tmp_path / "gk.conf"
-    conf.write_text("certification_limit = 12\n")
     calls = []
 
     def coloring(G, p, **kw):
@@ -165,9 +163,9 @@ def test_count_colours_once_with_config_limit(tmp_path, capsys, monkeypatch):
         return low_tdepth_coloring(G, p, **kw)
 
     monkeypatch.setattr(cli, "low_tdepth_coloring", coloring)
-    argv = ["--config", str(conf), "count", str(g), "--pattern", str(pat), "--list"]
+    argv = ["count", str(g), "--pattern", str(pat), "--list"]
     assert main(argv + ["--restrict", str(s)]) == 0
-    assert calls == [(4, {"certify_limit": 12})]
+    assert calls == [(4, {})]
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == f"count {len(lines) - 1}"
     assert len(lines) - 1 == brute_count_hitting(grid(3, 4), path(3), frozenset({1, 6}))
@@ -240,9 +238,13 @@ def test_config_rejects_unknown_and_bad(tmp_path):
     f.write_text("oracle_limit = -2\n")
     with pytest.raises(InputError, match="positive"):
         load_config(str(f))
-    f.write_text("log_base = 2\n")
-    with pytest.raises(InputError, match="unknown config key"):
-        load_config(str(f))
+    g = tmp_path / "p5.txt"
+    g.write_text(textio.graph_to_text(path(5)))
+    for line in ("log_base = 2\n", "certification_limit = 12\n"):
+        f.write_text(line)
+        with pytest.raises(InputError, match="unknown config key"):
+            load_config(str(f))
+        assert main(["--config", str(f), "color", str(g), "--p", "3"]) == 2
 
 
 def test_config_env(tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradkit.coloring import (
     Coloring,
@@ -13,8 +15,10 @@ from gradkit.core import build_graph, connected_components, induced_subgraph
 from gradkit.errors import NotCenteredError, SizeLimitError
 from gradkit.forests import closure
 from gradkit.generators import clique, cycle, grid, path, random_regular, star
-from gradkit.oracles import is_centered, is_p_centered
+from gradkit.oracles import brute_low_tdepth, is_centered, is_p_centered
 from gradkit.treedepth import treedepth_exact
+
+from conftest import raw_graphs
 
 
 def brute_is_p_centered(G, col, p):
@@ -69,6 +73,37 @@ def test_is_p_centered_examples():
 def test_certification_limit():
     with pytest.raises(SizeLimitError):
         is_centered(path(25), Coloring((0,) + tuple(range(1, 26)), 25))
+
+
+def test_certify_low_tdepth_above_the_old_limit():
+    # n > 20: the certificate runs at every size
+    P = path(31)
+    ruler = ruler_coloring(31, 5)  # centered, hence p-centered for every p
+    alternating = Coloring((0,) + tuple(1 + v % 2 for v in range(1, 32)), 2)
+    for p in (2, 3, 4, 6):
+        assert certify_low_tdepth(P, ruler, p)
+    assert certify_low_tdepth(P, alternating, 2)  # each class is independent
+    assert not certify_low_tdepth(P, alternating, 3)  # both classes: td(P31) = 5 > 2
+    G = grid(5, 6)
+    for p in (3, 4):
+        assert certify_low_tdepth(G, low_tdepth_coloring(G, p), p)
+    checkerboard = Coloring((0,) + tuple(1 + v % 2 for v in range(1, 31)), 2)
+    assert not certify_low_tdepth(G, checkerboard, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_graphs(max_n=9, max_m=20), st.data())
+def test_certificate_between_p_centered_and_exhaustive(G, data):
+    # p-centered => certified => every union of i < p classes has td <= i
+    k = data.draw(st.integers(1, max(G.n, 1)))
+    colors = data.draw(st.lists(st.integers(1, k), min_size=G.n, max_size=G.n))
+    col = Coloring((0, *colors), max(colors, default=0))
+    p = data.draw(st.integers(2, 5))
+    certified = certify_low_tdepth(G, col, p)
+    if is_p_centered(G, col, p):
+        assert certified
+    if certified:
+        assert brute_low_tdepth(G, col, p)
 
 
 def test_centered_to_forest_p3():

@@ -65,11 +65,13 @@ def test_forest_to_decomposition_single_vertex():
     assert forest_to_decomposition(F).width == 0
 
 
-def test_forest_to_decomposition_links_roots():
-    F = make_forest(4, {1: 0, 2: 0, 3: 0, 4: 0})
+def test_forest_to_decomposition_hangs_roots_off_empty_node():
+    F = make_forest(5, {1: 0, 2: 0, 3: 2, 4: 0, 5: 4})
     T = forest_to_decomposition(F)
-    assert len(T.tree_edges) == 3
-    assert validate_decomposition(build_graph(4, []), T)
+    assert T.bags[0] == frozenset()
+    assert T.bags[1:] == tuple(frozenset(F.root_path(v)) for v in range(1, 6))
+    assert sorted(T.tree_edges) == [(0, 1), (0, 2), (0, 4), (2, 3), (4, 5)]
+    assert validate_decomposition(closure(F), T)
 
 
 def test_decomposition_width_is_height_minus_one():

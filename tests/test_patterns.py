@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from gradkit.coloring import Coloring, greedy_coloring
+from gradkit.coloring import Coloring, color_classes, greedy_coloring
 from gradkit.core import build_graph, connected_sets, induced_subgraph, is_connected
 from gradkit.errors import DomainError, InputError, PatternError
 from gradkit.forests import TreeDecomposition, dfs_forest, forest_to_decomposition
@@ -17,7 +17,6 @@ from gradkit.oracles import (
     brute_has_subgraph,
 )
 from gradkit.patterns import (
-    _color_classes,
     count_isomorphs,
     count_on_decomposition,
     decide_containment,
@@ -154,7 +153,7 @@ def _quotient_connected(quotient, C):
 def test_connected_color_sets_each_once():
     # the colour sets the counter visits come from core.connected_sets
     for cname, G, col in BREAKDOWN_CASES:
-        quotient = _color_classes(G, col)[2]
+        quotient = color_classes(G, col)[2]
         for k in range(1, 6):
             got = list(connected_sets(quotient, k))
             want = {
@@ -169,7 +168,7 @@ def test_connected_color_sets_each_once():
 
 def test_color_quotient():
     col = Coloring((0, 1, 5, 1, 3), 5)
-    used, classes, quotient = _color_classes(path(4), col)
+    used, classes, quotient = color_classes(path(4), col)
     assert used == [1, 3, 5]
     assert classes == [[1, 3], [4], [2]]
     assert quotient == [0b110, 0b001, 0b001]  # colour 1 meets colours 3 and 5
