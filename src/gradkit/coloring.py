@@ -20,10 +20,9 @@ always-valid fallback, so termination is unconditional.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .core import (
-    Graph, bit_indices, connected_components, connected_sets, induced_subgraph, underlying_graph
-)
+from .core import Graph, bit_indices, connected_sets, local_adjacency, underlying_graph
 from .augmentation import augment
 from .errors import DomainError, NotCenteredError
 from .forests import RootedForest, make_forest
@@ -38,38 +37,82 @@ class Coloring:
     num_colors: int
 
 
-def centered_to_forest(G: Graph, coloring: Coloring) -> RootedForest:
-    """Elimination forest from a centered coloring.
+def centered_parents(adj: Sequence[Sequence[int]], colors: Sequence[int]) -> list[int]:
+    """Parent list of the elimination forest of a centered colouring.
 
-    Per component, the root is the vertex of the lowest colour occurring
-    exactly once; recursion continues on the component minus its root.
-    Height is bounded by the number of distinct colours in the component.
+    adj holds the rows of a graph on 1..n (adj[0] unused) and colors[v]
+    the colour of v.  Per component, the root is the vertex of the lowest
+    colour occurring exactly once; recursion continues on the component
+    minus its root.  parent[v] is 0 for a root (parent[0] is unused).
+    Raises NotCenteredError at a component where no colour occurs once.
+
+    Each component is searched once, with a stamp per search instead of a
+    fresh visited array, so the cost is the size of the components summed
+    over the levels of the forest: linear for a bounded number of colours.
+    Height is bounded by the number of distinct colours in a component.
     """
-    colors = coloring.colors
-    parent: dict[int, int] = {}
-    stack: list[tuple[list[int], int]] = [
-        (comp, 0) for comp in reversed(connected_components(G))
-    ]
-    while stack:
-        comp, par = stack.pop()
-        counts: dict[int, int] = {}
-        for v in comp:
-            counts[colors[v]] = counts.get(colors[v], 0) + 1
-        unique = sorted(c for c, k in counts.items() if k == 1)
-        if not unique:
+    n = len(adj) - 1
+    parent = [0] * (n + 1)
+    # mark[v] < stamp: v is not reached yet by the current search.  There
+    # is one search per root plus the first, so no stamp reaches placed.
+    placed = n + 2
+    mark = [0] * (n + 1)
+    stamp = 0
+    todo: list[tuple[list[int], int]] = []
+
+    def split(verts: Iterable[int], par: int) -> None:
+        """Push the components of the unplaced part of verts, which must be
+        a union of components of the unplaced vertices; singletons are
+        placed at once under par."""
+        nonlocal stamp
+        stamp += 1
+        comps = []
+        for s in verts:
+            if mark[s] >= stamp:
+                continue
+            mark[s] = stamp
+            comp = [s]
+            for v in comp:
+                for w in adj[v]:
+                    if mark[w] < stamp:
+                        mark[w] = stamp
+                        comp.append(w)
+            if len(comp) == 1:
+                parent[s] = par
+                mark[s] = placed
+            else:
+                comps.append((comp, par))
+        todo.extend(reversed(comps))
+
+    split(range(1, n + 1), 0)
+    while todo:
+        comp, par = todo.pop()
+        cs = [colors[v] for v in comp]
+        seen: set[int] = set()
+        again: set[int] = set()
+        for c in cs:
+            if c in seen:
+                again.add(c)
+            else:
+                seen.add(c)
+        root_color = min(seen - again, default=None)
+        if root_color is None:
+            comp.sort()
             raise NotCenteredError(
                 f"no uniquely occurring colour in component {comp[:8]}..."
                 if len(comp) > 8
                 else f"no uniquely occurring colour in component {comp}"
             )
-        root_color = unique[0]
-        root = next(v for v in comp if colors[v] == root_color)
+        root = comp[cs.index(root_color)]
         parent[root] = par
-        rest = [v for v in comp if v != root]
-        if rest:
-            for sub in reversed(connected_components(G, within=rest)):
-                stack.append((sub, root))
-    return make_forest(G.n, {v: parent.get(v, 0) for v in range(1, G.n + 1)})
+        mark[root] = placed
+        split(comp, root)
+    return parent
+
+
+def centered_to_forest(G: Graph, coloring: Coloring) -> RootedForest:
+    """Elimination forest from a centered coloring: centered_parents on G."""
+    return make_forest(G.n, centered_parents(G.adj, coloring.colors)[1:])
 
 
 def greedy_coloring(H: Graph) -> Coloring:
@@ -107,24 +150,19 @@ def color_classes(G: Graph, coloring: Coloring) -> tuple[list[int], list[list[in
     return used, classes, adjm
 
 
-def restrict(G: Graph, verts: list[int], coloring: Coloring) -> tuple[Graph, Coloring]:
-    """G[verts] and the colouring restricted to it, as centered_to_forest takes them."""
-    sub, ids = induced_subgraph(G, verts)
-    return sub, Coloring((0,) + tuple(coloring.colors[v] for v in ids), coloring.num_colors)
-
-
 def certify_low_tdepth(G: Graph, coloring: Coloring, p: int) -> bool:
     """Check that every union of i <= p - 1 colour classes induces a
     subgraph of tree-depth at most i, at any size: each colour set C
     connected in the quotient (a disconnected one induces the disjoint
-    union of its parts) must yield a centered_to_forest forest, of height
-    <= |C|.  p-centered colourings pass.  One forest per set, quadratic in
-    the union's order."""
+    union of its parts) must yield a centered_parents forest, of height
+    <= |C|.  p-centered colourings pass.  One forest per set, linear in
+    the union's order and degree sum."""
+    colors = coloring.colors
     _, classes, adjm = color_classes(G, coloring)
     for C in connected_sets(adjm, p - 1):
         verts = [v for i in bit_indices(C) for v in classes[i]]
         try:
-            centered_to_forest(*restrict(G, verts, coloring))
+            centered_parents(local_adjacency(G, verts), [0] + [colors[v] for v in verts])
         except NotCenteredError:
             return False
     return True

@@ -8,9 +8,10 @@ there an arc x -> y" is x in D[y] and costs O(1).
 
 Both containers are immutable after construction (no code mutates a
 digraph row once it is built) and safe to share across threads.  The module also holds the small-graph primitives that the exact
-oracles and the counting pipeline share: neighbour_masks, connected_sets
-(every connected vertex set of a graph given as neighbour bitmasks),
-bit_indices and induced_radius.
+oracles and the counting pipeline share: local_adjacency (the rows of an
+induced subgraph over local ids), neighbour_masks, connected_sets (every
+connected vertex set of a graph given as neighbour bitmasks), bit_indices
+and induced_radius.
 """
 
 from __future__ import annotations
@@ -151,10 +152,22 @@ def induced_subgraph(G: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     ids = sorted(set(vertices))
     for v in ids:
         _check_vertex(v, G.n, "induced_subgraph")
-    index = {v: i for i, v in enumerate(ids, 1)}
-    adj = [()] + [tuple(index[w] for w in G.adj[v] if w in index) for v in ids]
+    adj = local_adjacency(G, ids)
     edges = tuple((i, j) for i in range(1, len(ids) + 1) for j in adj[i] if j > i)
     return Graph(n=len(ids), m=len(edges), edges=edges, adj=tuple(adj)), tuple(ids)
+
+
+def local_adjacency(G: Graph, ids: Sequence[int]) -> list[tuple[int, ...]]:
+    """Adjacency rows of G[ids] over local ids 1..len(ids), where local id i
+    stands for ids[i - 1]; row 0 is empty, as in Graph.adj.
+
+    The rows are read off G.adj, so the cost is the degree sum over ids.
+    Each row keeps the order of G.adj, so it is ascending when ids is.
+    The ids must be distinct vertices of G.
+    """
+    index = {v: i for i, v in enumerate(ids, 1)}
+    get = index.get
+    return [()] + [tuple([j for w in G.adj[v] if (j := get(w))]) for v in ids]
 
 
 def connected_components(G: Graph, within: Iterable[int] | None = None) -> list[list[int]]:

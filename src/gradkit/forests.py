@@ -9,7 +9,7 @@ its root path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .core import Graph, _check_vertex, build_graph
 from .errors import InputError
@@ -84,13 +84,12 @@ def closure(F: RootedForest) -> Graph:
     return build_graph(F.n, edges)
 
 
-def dfs_forest(G: Graph) -> RootedForest:
-    """Depth-first search forest, deterministic: lowest ids first.
-
-    Every G-edge connects comparable vertices of the result, so
-    G is a subgraph of clos(dfs_forest(G)).
-    """
-    n = G.n
+def dfs_parents(adj: Sequence[Sequence[int]]) -> list[int]:
+    """Parent list of the depth-first search forest of the graph with rows
+    adj over 1..n (adj[0] unused), lowest ids first; 0 marks a root and
+    parent[0] is unused.  Every edge joins a vertex to one of its
+    ancestors, so the forest is an elimination forest of the graph."""
+    n = len(adj) - 1
     parent = [0] * (n + 1)
     seen = [False] * (n + 1)
     for s in range(1, n + 1):
@@ -100,18 +99,27 @@ def dfs_forest(G: Graph) -> RootedForest:
         stack: list[tuple[int, int]] = [(s, 0)]  # (vertex, next-neighbour index)
         while stack:
             v, i = stack[-1]
-            adj = G.adj[v]
-            while i < len(adj) and seen[adj[i]]:
+            row = adj[v]
+            while i < len(row) and seen[row[i]]:
                 i += 1
-            if i == len(adj):
+            if i == len(row):
                 stack.pop()
                 continue
             stack[-1] = (v, i + 1)
-            w = adj[i]
+            w = row[i]
             seen[w] = True
             parent[w] = v
             stack.append((w, 0))
-    return make_forest(n, parent[1:])
+    return parent
+
+
+def dfs_forest(G: Graph) -> RootedForest:
+    """Depth-first search forest, deterministic: lowest ids first.
+
+    Every G-edge connects comparable vertices of the result, so
+    G is a subgraph of clos(dfs_forest(G)).
+    """
+    return make_forest(G.n, dfs_parents(G.adj)[1:])
 
 
 @dataclass(frozen=True)
@@ -138,7 +146,8 @@ def forest_to_decomposition(F: RootedForest) -> TreeDecomposition:
     width is max_height(F) - 1.  Walking the tree from node 0, a vertex is
     the only one its node adds to its parent's bag, so a DP that forgets
     it on leaving that node, as count_on_decomposition does, holds exactly
-    the current root path and drops each tree's root before the next tree.
+    the current root path and drops each tree's root before the next tree:
+    the same introduce/forget sequence as walking F itself.
     """
     bags = [frozenset()] + [frozenset(F.root_path(v)) for v in range(1, F.n + 1)]
     edges = tuple((F.parent[v], v) for v in range(1, F.n + 1))

@@ -6,9 +6,9 @@ on h vertices meets at most h colour classes, and the classes it meets are
 connected in the colour quotient graph (colours adjacent when some host
 edge joins their classes), so only those colour sets are visited: each
 connected set C of at most h colours once, with the union of its classes
-built from the class lists and the host adjacency.  Copies inside a union
-are counted by dynamic programming over the elimination-forest
-tree-decomposition, and a Moebius pass over the connected colour sets
+read off the class lists and the host adjacency.  Copies inside a union
+are counted by an introduce/forget dynamic program that walks the union's
+elimination forest, and a Moebius pass over the connected colour sets
 turns the per-union counts into counts per exact colour set, so every copy
 is counted exactly once.  Counting only the copies that meet a vertex set
 S takes count(union) - count(union - S) on each union that meets S.
@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .coloring import Coloring, centered_to_forest, color_classes, low_tdepth_coloring, restrict
+from .coloring import Coloring, centered_parents, color_classes, low_tdepth_coloring
 from .core import (
     Graph,
     _check_vertex,
@@ -32,11 +32,11 @@ from .core import (
     build_graph,
     connected_components,
     connected_sets,
-    induced_subgraph,
     is_connected,
+    local_adjacency,
 )
 from .errors import DomainError, InputError, NotCenteredError, PatternError
-from .forests import TreeDecomposition, dfs_forest, forest_to_decomposition, validate_decomposition
+from .forests import TreeDecomposition, dfs_parents, validate_decomposition
 
 DEFAULT_PATTERN_LIMIT = 5
 
@@ -78,42 +78,101 @@ class CountReport:
     listing: tuple[Copy, ...] | None = None
 
 
-def count_on_decomposition(
-    G_part: Graph,
-    T: TreeDecomposition,
-    H: Pattern | Graph,
-    *,
-    validate: bool = True,
-    width_limit: int = 32,
-) -> int:
+def _copies(adj: Sequence[Sequence[int]], events: Sequence[int], pat: Pattern) -> int:
+    """Count distinct copies of pat in the graph with rows adj (adj[0]
+    unused) by the introduce/forget DP over events: v > 0 introduces v and
+    -v forgets it.
+
+    States are partial injective maps from pattern vertices to introduced
+    vertices, extended with a done marker for vertices already embedded in
+    forgotten ones; the final tally is divided by |Aut(pat)|.  An edge of
+    the pattern is checked when its second end is mapped, so every graph
+    edge must join two vertices that are introduced together at some
+    point: the events must be a walk of an elimination forest (enter v,
+    its subtrees, leave v) or of a tree decomposition of the graph, each
+    vertex introduced once.  A state with more unmapped pattern vertices
+    than introductions still to come is dropped.
+    """
+    h = pat.graph.n
+    hadj = [[w - 1 for w in pat.graph.adj[x + 1]] for x in range(h)]
+    UNSEEN, DONE = 0, -1
+    states: dict[tuple[int, ...], int] = {(UNSEEN,) * h: 1}
+    left = sum(u > 0 for u in events)
+    for u in events:
+        new: dict[tuple[int, ...], int] = {}
+        if u > 0:
+            # every extended state holds u once, at its own x: all distinct
+            left -= 1
+            near = set(adj[u])
+            for state, cnt in states.items():
+                if state.count(UNSEEN) <= left:
+                    new[state] = cnt
+                for x in range(h):
+                    if state[x] != UNSEEN:
+                        continue
+                    for y in hadj[x]:
+                        img = state[y]
+                        if img > 0 and img not in near:
+                            break
+                    else:
+                        new[state[:x] + (u,) + state[x + 1 :]] = cnt
+        else:
+            u = -u
+            for state, cnt in states.items():
+                if u in state:
+                    x = state.index(u)
+                    for y in hadj[x]:
+                        if state[y] == UNSEEN:
+                            break  # an edge at x could never be verified: dead branch
+                    else:
+                        state = state[:x] + (DONE,) + state[x + 1 :]
+                        new[state] = new.get(state, 0) + cnt
+                else:
+                    new[state] = new.get(state, 0) + cnt
+        states = new
+    embeddings = states.get((DONE,) * h, 0)
+    if embeddings % pat.aut_count:
+        raise AssertionError("embedding count not divisible by automorphism count")
+    return embeddings // pat.aut_count
+
+
+def _forest_walk(parent: Sequence[int]) -> list[int]:
+    """The events of a depth-first walk of the forest with this parent
+    list (0 for a root, parent[0] unused), children in ascending order:
+    v on entering v, -v on leaving it."""
+    children: list[list[int]] = [[] for _ in parent]
+    for v in range(1, len(parent)):
+        children[parent[v]].append(v)
+    events = []
+    stack = children[0][::-1]
+    while stack:
+        v = stack.pop()
+        events.append(v)
+        if v > 0:
+            stack.append(-v)
+            stack += children[v][::-1]
+    return events
+
+
+def count_on_decomposition(G_part: Graph, T: TreeDecomposition, H: Pattern | Graph) -> int:
     """Count distinct copies of H in G_part by DP over the decomposition.
 
-    States are partial injective maps from pattern vertices to bag
-    vertices, extended with a done marker for vertices already embedded in
-    forgotten parts; the final tally is divided by |Aut(H)|.  The
-    traversal starts at node 0, and a vertex stays in the states from the
-    node that introduces it until that node is left, so the DP runs on the
-    union of the bags along the tree path from node 0, not on each bag
-    alone.  The count is exact either way; only the number of states
-    grows.  For forest_to_decomposition(F) that union is the node's own
-    bag: node 0 is empty and carries the roots of F as children, so each
-    state holds one root path and each tree's root is forgotten before the
-    next tree is entered.
+    The traversal starts at node 0; entering a node introduces the
+    vertices its bag adds to its parent's, and leaving it forgets them, so
+    the DP runs on the union of the bags along the tree path from node 0,
+    not on each bag alone.  The count is exact either way; only the number
+    of states grows.  For forest_to_decomposition(F) that union is the
+    node's own bag: node 0 is empty and carries the roots of F as
+    children, so the events are those of walking F itself.  Raises
+    DomainError if T is wider than 32 or not a valid decomposition.
     """
     pat = H if isinstance(H, Pattern) else make_pattern(H)
-    if T.width > width_limit:
-        raise DomainError(f"decomposition width {T.width} exceeds the limit {width_limit}")
-    if validate and not validate_decomposition(G_part, T):
+    if T.width > 32:
+        raise DomainError(f"decomposition width {T.width} exceeds the limit 32")
+    if not validate_decomposition(G_part, T):
         raise DomainError("decomposition is not valid for this graph")
-    h = pat.graph.n
-    if G_part.n == 0 or h > G_part.n:
+    if G_part.n == 0 or pat.graph.n > G_part.n:
         return 0
-
-    hadj: list[list[int]] = [[] for _ in range(h)]
-    for (a, b) in pat.graph.edges:
-        hadj[a - 1].append(b - 1)
-        hadj[b - 1].append(a - 1)
-    gadj = [set(a) for a in G_part.adj]
 
     t = T.node_count()
     node_adj: list[list[int]] = [[] for _ in range(t)]
@@ -121,7 +180,6 @@ def count_on_decomposition(
         node_adj[a].append(b)
         node_adj[b].append(a)
     parent_node = [-1] * t
-    children: list[list[int]] = [[] for _ in range(t)]
     order = [0]
     seen = [False] * t
     seen[0] = True
@@ -130,73 +188,17 @@ def count_on_decomposition(
             if not seen[b]:
                 seen[b] = True
                 parent_node[b] = a
-                children[a].append(b)
                 order.append(b)
     intro: list[list[int]] = []
     for i in range(t):
         above = T.bags[parent_node[i]] if parent_node[i] >= 0 else frozenset()
         intro.append(sorted(T.bags[i] - above))
 
-    UNSEEN, DONE = 0, -1
-    init = (UNSEEN,) * h
-    states: dict[tuple[int, ...], int] = {init: 1}
-
-    def introduce(u: int) -> None:
-        nonlocal states
-        new: dict[tuple[int, ...], int] = {}
-        for state, cnt in states.items():
-            new[state] = new.get(state, 0) + cnt
-            for x in range(h):
-                if state[x] != UNSEEN:
-                    continue
-                ok = True
-                for y in hadj[x]:
-                    img = state[y]
-                    if img > 0 and img not in gadj[u]:
-                        ok = False
-                        break
-                if ok:
-                    s2 = state[:x] + (u,) + state[x + 1 :]
-                    new[s2] = new.get(s2, 0) + cnt
-        states = new
-
-    def forget(u: int) -> None:
-        nonlocal states
-        new: dict[tuple[int, ...], int] = {}
-        for state, cnt in states.items():
-            x_at_u = -1
-            for x in range(h):
-                if state[x] == u:
-                    x_at_u = x
-                    break
-            if x_at_u < 0:
-                new[state] = new.get(state, 0) + cnt
-                continue
-            if any(state[y] == UNSEEN for y in hadj[x_at_u]):
-                continue  # an edge at x could never be verified: dead branch
-            s2 = state[:x_at_u] + (DONE,) + state[x_at_u + 1 :]
-            new[s2] = new.get(s2, 0) + cnt
-        states = new
-
-    stack: list[tuple[int, int]] = [(0, 0)]
-    while stack:
-        node, ci = stack[-1]
-        if ci == 0:
-            for u in intro[node]:
-                introduce(u)
-        if ci < len(children[node]):
-            stack[-1] = (node, ci + 1)
-            stack.append((children[node][ci], 0))
-        else:
-            for u in reversed(intro[node]):
-                forget(u)
-            stack.pop()
-
-    done_state = (DONE,) * h
-    embeddings = states.get(done_state, 0)
-    if embeddings % pat.aut_count:
-        raise AssertionError("embedding count not divisible by automorphism count")
-    return embeddings // pat.aut_count
+    # walk the tree of nodes as a forest on 1..t, node i being i + 1
+    events: list[int] = []
+    for a in _forest_walk([0] + [p + 1 for p in parent_node]):
+        events += intro[a - 1] if a > 0 else [-u for u in reversed(intro[-a - 1])]
+    return _copies(G_part.adj, events, pat)
 
 
 def _connected_unions(
@@ -216,25 +218,27 @@ def _connected_unions(
         yield C, verts
 
 
-def _count_in_union(G: Graph, verts: list[int], col: Coloring, pat: Pattern) -> int:
-    """Count pattern copies in G[verts].
+def _count_in_union(G: Graph, verts: list[int], colors: Sequence[int], pat: Pattern) -> int:
+    """Count pattern copies in G[verts], verts sorted.
 
-    low_tdepth_coloring(G, h + 1) is certified on every full union; for a
-    union minus S, or a colouring the caller supplied, where the restricted
-    coloring may not be centered, fall back to a DFS forest, which is
-    always a valid elimination forest.
+    The union's rows over local ids come from local_adjacency, its
+    elimination forest from centered_parents on the colours, and the DP
+    walks that forest; no subgraph object is built.  low_tdepth_coloring(G,
+    h + 1) is certified on every full union; for a union minus S, or a
+    colouring the caller supplied, where the restricted colouring may not
+    be centered, the forest is a DFS forest, which is always an
+    elimination forest.
     """
     if len(verts) < pat.graph.n:
         return 0
-    sub, subcol = restrict(G, verts, col)
-    if sub.m < pat.graph.m:
+    adj = local_adjacency(G, verts)
+    if sum(map(len, adj)) < 2 * pat.graph.m:
         return 0
     try:
-        forest = centered_to_forest(sub, subcol)
+        parent = centered_parents(adj, [0] + [colors[v] for v in verts])
     except NotCenteredError:
-        forest = dfs_forest(sub)
-    T = forest_to_decomposition(forest)
-    return count_on_decomposition(sub, T, pat, validate=False, width_limit=max(32, sub.n))
+        parent = dfs_parents(adj)
+    return _copies(adj, _forest_walk(parent), pat)
 
 
 def _exact_counts(
@@ -253,11 +257,12 @@ def _exact_counts(
     that meet S.
     """
     used, classes, adjm = color_classes(G, col)
+    colors = col.colors
     union_counts: dict[int, int] = {}
     for C, verts in _connected_unions(classes, adjm, pat.graph.n, S):
-        k = _count_in_union(G, verts, col, pat)
+        k = _count_in_union(G, verts, colors, pat)
         if S is not None:
-            k -= _count_in_union(G, [v for v in verts if v not in S], col, pat)
+            k -= _count_in_union(G, [v for v in verts if v not in S], colors, pat)
         union_counts[C] = k
     exact: dict[int, int] = {}
     for C in sorted(union_counts, key=int.bit_count):
@@ -329,38 +334,43 @@ def _pattern_order(pat: Pattern) -> tuple[list[int], list[list[int]]]:
     return order, back
 
 
-def _embeddings_in(sub: Graph, pat: Pattern):
-    """Yield injective embeddings (image list indexed by pattern vertex)."""
+def _exact_embeddings(adj: Sequence[Sequence[int]], cbit: Sequence[int], C: int, pat: Pattern):
+    """Yield the injective embeddings (image tuple indexed by pattern
+    vertex) into the graph with ascending rows adj whose colour set is
+    exactly C; cbit[u] is the colour bit of vertex u, a bit of C.  A
+    partial embedding stops as soon as the colours of C it has not used
+    outnumber the pattern vertices left to place."""
     h = pat.graph.n
     order, back = _pattern_order(pat)
-    gadj = [set(a) for a in sub.adj]
+    gadj = [set(a) for a in adj]
     img = [0] * h
     used: set[int] = set()
 
-    def rec(i: int):
+    def rec(i: int, mask: int):
         if i == h:
             yield tuple(img)
             return
         x = order[i]
         anchors = back[i]
-        if not anchors:
-            candidates = range(1, sub.n + 1)
-        else:
-            candidates = sorted(gadj[img[anchors[0]]])
+        left = h - i - 1
+        candidates = adj[img[anchors[0]]] if anchors else range(1, len(adj))
         for u in candidates:
             if u in used:
                 continue
             if any(u not in gadj[img[y]] for y in anchors):
                 continue
+            grown = mask | cbit[u]
+            if (C & ~grown).bit_count() > left:
+                continue
             img[x] = u
             used.add(u)
-            yield from rec(i + 1)
+            yield from rec(i + 1, grown)
             used.discard(u)
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
-def _copy_of(img: tuple[int, ...], pat: Pattern, ids: tuple[int, ...]) -> Copy:
+def _copy_of(img: tuple[int, ...], pat: Pattern, ids: Sequence[int]) -> Copy:
     verts = tuple(sorted(ids[u - 1] for u in img))
     edges = frozenset(
         frozenset((ids[img[a - 1] - 1], ids[img[b - 1] - 1])) for (a, b) in pat.graph.edges
@@ -379,28 +389,23 @@ def list_isomorphs(
 
     A copy is (sorted vertex tuple, edge set).  The colour sets visited are
     those of the counting pass: the connected colour sets of size <= h
-    whose union meets S.  Each copy is emitted from the one colour set that
-    equals its exact colour set.  Vertices of S outside 1..n, and a
-    coloring whose length is not n + 1, raise InputError.
+    whose union meets S.  Each copy is enumerated only in the one colour
+    set that equals its exact colour set.  Vertices of S outside 1..n, and
+    a coloring whose length is not n + 1, raise InputError.
     """
     pat, col = _prepare(G, H, S, coloring)
     used, classes, adjm = color_classes(G, col)
     bit = {c: 1 << i for i, c in enumerate(used)}
     found: set[Copy] = set()
     for C, verts in _connected_unions(classes, adjm, pat.graph.n, S):
-        sub, ids = induced_subgraph(G, verts)
-        if sub.m < pat.graph.m:
+        adj = local_adjacency(G, verts)
+        if sum(map(len, adj)) < 2 * pat.graph.m:
             continue
-        for img in _embeddings_in(sub, pat):
-            orig = [ids[u - 1] for u in img]
-            mask = 0
-            for v in orig:
-                mask |= bit[col.colors[v]]
-            if mask != C:
+        cbit = [0] + [bit[col.colors[v]] for v in verts]
+        for img in _exact_embeddings(adj, cbit, C, pat):
+            if S is not None and not any(verts[u - 1] in S for u in img):
                 continue
-            if S is not None and not any(v in S for v in orig):
-                continue
-            found.add(_copy_of(img, pat, ids))
+            found.add(_copy_of(img, pat, verts))
     return tuple(sorted(found, key=lambda c: (c[0], sorted(tuple(sorted(e)) for e in c[1]))))
 
 

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -6,15 +7,17 @@ from hypothesis import strategies as st
 
 from gradkit.coloring import (
     Coloring,
+    centered_parents,
     centered_to_forest,
     certify_low_tdepth,
     greedy_coloring,
     low_tdepth_coloring,
 )
-from gradkit.core import build_graph, connected_components, induced_subgraph
+from gradkit.core import build_graph, connected_components, induced_subgraph, local_adjacency
 from gradkit.errors import NotCenteredError, SizeLimitError
 from gradkit.forests import closure
 from gradkit.generators import clique, cycle, grid, path, random_regular, star
+from gradkit.harness import fit_exponent
 from gradkit.oracles import brute_low_tdepth, is_centered, is_p_centered
 from gradkit.treedepth import treedepth_exact
 
@@ -138,6 +141,68 @@ def test_centered_to_forest_height_bounded_by_colors():
 def test_centered_to_forest_rejects_uncentered():
     with pytest.raises(NotCenteredError):
         centered_to_forest(path(2), Coloring((0, 1, 1), 1))
+
+
+def _reference_parents(G, colors):
+    """The root rule of centered_parents, one connected_components call
+    per root: quadratic, but plainly right.  None if not centered."""
+    parent = [0] * (G.n + 1)
+    todo = [(comp, 0) for comp in connected_components(G)]
+    while todo:
+        comp, par = todo.pop()
+        comp_colors = [colors[v] for v in comp]
+        unique = [c for c in comp_colors if comp_colors.count(c) == 1]
+        if not unique:
+            return None
+        root = next(v for v in comp if colors[v] == min(unique))
+        parent[root] = par
+        rest = [v for v in comp if v != root]
+        if rest:
+            todo += [(sub, root) for sub in connected_components(G, within=rest)]
+    return parent
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_graphs(max_n=10, max_m=24), st.data())
+def test_centered_parents_matches_per_root_reference(G, data):
+    k = data.draw(st.integers(1, max(G.n, 1)))
+    colors = (0, *data.draw(st.lists(st.integers(1, k), min_size=G.n, max_size=G.n)))
+    want = _reference_parents(G, colors)
+    if want is None:
+        with pytest.raises(NotCenteredError):
+            centered_parents(G.adj, colors)
+        with pytest.raises(NotCenteredError):
+            centered_to_forest(G, Coloring(colors, k))
+    else:
+        assert centered_parents(G.adj, colors) == want
+        assert centered_to_forest(G, Coloring(colors, k)).parent == tuple(want)
+    # on local ids, as the certificate and the counter call it
+    verts = sorted(data.draw(st.sets(st.integers(1, G.n)))) if G.n else []
+    sub, _ = induced_subgraph(G, verts)
+    local_colors = [0] + [colors[v] for v in verts]
+    want = _reference_parents(sub, local_colors)
+    if want is None:
+        with pytest.raises(NotCenteredError):
+            centered_parents(local_adjacency(G, verts), local_colors)
+    else:
+        assert centered_parents(local_adjacency(G, verts), local_colors) == want
+
+
+def test_centered_to_forest_grows_linearly_on_ruler_paths():
+    # one root per component and a stamp per search, not one components
+    # pass per root: n log n on a ruler-coloured path (log n levels)
+    points = []
+    for bits in (12, 14):
+        n = 1 << bits
+        P, ruler = path(n), ruler_coloring(n, bits + 1)
+        best = float("inf")
+        for _ in range(3):
+            t = time.perf_counter()
+            F = centered_to_forest(P, ruler)
+            best = min(best, time.perf_counter() - t)
+        assert F.max_height == bits + 1
+        points.append((n, best))
+    assert fit_exponent(points) <= 1.25, points
 
 
 def test_greedy_coloring_proper():

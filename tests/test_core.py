@@ -11,6 +11,7 @@ from gradkit.core import (
     induced_subgraph,
     connected_components,
     is_connected,
+    local_adjacency,
     neighbour_masks,
     underlying_graph,
 )
@@ -148,6 +149,19 @@ def test_induced_subgraph_matches_edge_scan(G, data):
     index = {v: i for i, v in enumerate(ids, 1)}
     scan = [(index[u], index[v]) for (u, v) in G.edges if u in index and v in index]
     assert sub == build_graph(len(ids), scan)
+
+
+@given(raw_graphs(max_n=10, max_m=30), st.data())
+def test_local_adjacency_follows_the_given_order(G, data):
+    # local id i stands for ids[i - 1], whatever the order of ids
+    ids = data.draw(st.permutations(range(1, G.n + 1))) if G.n else []
+    ids = ids[: data.draw(st.integers(0, len(ids)))]
+    rows = local_adjacency(G, ids)
+    assert rows[0] == () and len(rows) == len(ids) + 1
+    for i, v in enumerate(ids, 1):
+        want = [j for j, w in enumerate(ids, 1) if G.has_edge(v, w)]
+        assert sorted(rows[i]) == want
+        assert [ids[j - 1] for j in rows[i]] == [w for w in G.adj[v] if w in ids]
 
 
 def test_induced_subgraph_rejects_out_of_range():

@@ -2,9 +2,17 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gradkit.coloring import Coloring, color_classes, greedy_coloring
-from gradkit.core import build_graph, connected_sets, induced_subgraph, is_connected
+from gradkit.core import (
+    build_graph,
+    connected_sets,
+    induced_subgraph,
+    is_connected,
+    local_adjacency,
+)
 from gradkit.errors import DomainError, InputError, PatternError
 from gradkit.forests import TreeDecomposition, dfs_forest, forest_to_decomposition
 from gradkit.generators import clique, cycle, grid, path, random_regular, star, subdivided_clique
@@ -16,7 +24,10 @@ from gradkit.oracles import (
     brute_has_induced,
     brute_has_subgraph,
 )
+from gradkit import patterns
 from gradkit.patterns import (
+    _connected_unions,
+    _exact_embeddings,
     count_isomorphs,
     count_on_decomposition,
     decide_containment,
@@ -24,6 +35,8 @@ from gradkit.patterns import (
     list_isomorphs,
     make_pattern,
 )
+
+from conftest import raw_graphs
 
 PATTERNS = {
     "K3": clique(3),
@@ -137,6 +150,67 @@ def test_breakdown_matches_brute_force_by_exact_colour_set():
                 assert rep.total == sum(want.values())
 
 
+def _tally_by_exact_colour_set(G, H, col, S):
+    want: dict[frozenset[int], int] = {}
+    for verts, _ in brute_copies(G, H):
+        if S is None or S.intersection(verts):
+            key = frozenset(col.colors[v] for v in verts)
+            want[key] = want.get(key, 0) + 1
+    return want
+
+
+@st.composite
+def coloured_hosts(draw):
+    """A random graph on at most 10 vertices, a random colouring of it with
+    at most n colours, and a random restriction set or None."""
+    G = draw(raw_graphs(max_n=10, max_m=24))
+    k = draw(st.integers(1, max(G.n, 1)))
+    colors = draw(st.lists(st.integers(1, k), min_size=G.n, max_size=G.n))
+    S = draw(st.none() | st.frozensets(st.integers(1, G.n), min_size=1)) if G.n else None
+    return G, Coloring((0, *colors), k), S
+
+
+# one colour on a path: the union is not centered, so its forest is a DFS
+# forest; all colours distinct on a grid: every union is centered
+FALLBACK_CASE = (path(5), Coloring((0, 1, 1, 1, 1, 1), 1), None)
+CENTERED_CASE = (grid(3, 3), _distinct(9), frozenset({2, 5}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coloured_hosts(), st.sampled_from(sorted(PATTERNS)))
+@example(FALLBACK_CASE, "P3")
+@example(CENTERED_CASE, "C4")
+def test_breakdown_matches_brute_force_on_random_colourings(case, pname):
+    G, col, S = case
+    H = PATTERNS[pname]
+    want = _tally_by_exact_colour_set(G, H, col, S)
+    rep = count_isomorphs(G, H, S, coloring=col)
+    assert rep.by_color_subset == want
+    assert rep.total == sum(want.values())
+
+
+def test_random_colouring_examples_take_both_forests(monkeypatch):
+    # the explicit examples above cover both ways a union gets its forest
+    calls = {"centered": 0, "dfs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name, fn in [("centered", patterns.centered_parents), ("dfs", patterns.dfs_parents)]:
+        monkeypatch.setattr(patterns, fn.__name__, counted(name, fn))
+    for (G, col, S), pname in [(FALLBACK_CASE, "P3"), (CENTERED_CASE, "C4")]:
+        before = calls["dfs"]
+        rep = count_isomorphs(G, PATTERNS[pname], S, coloring=col)
+        assert rep.by_color_subset == _tally_by_exact_colour_set(G, PATTERNS[pname], col, S)
+        assert (calls["dfs"] > before) == (G.n == 5)
+    # every union tries centered_parents first; only FALLBACK_CASE's falls back
+    assert calls["centered"] > calls["dfs"] > 0
+
+
 def _quotient_connected(quotient, C):
     start = min(C)
     seen = {start}
@@ -215,6 +289,37 @@ def test_restricted_listing_matches_brute_force():
             assert len(got) == count_isomorphs(G, H, S).total
 
 
+def _periodic_grid_coloring(a, b):
+    """Nine colours on an a x b grid, by row and column modulo 3."""
+    return Coloring(
+        (0,) + tuple(3 * (i % 3) + j % 3 + 1 for i in range(a) for j in range(b)), 9
+    )
+
+
+def test_listing_enumerates_each_copy_in_its_exact_colour_set_only():
+    # a partial embedding stops once the colours it still lacks outnumber
+    # the pattern vertices left, so each copy is enumerated |Aut| times,
+    # all in the union of its own colour set
+    for (a, b), H in [((10, 10), path(4)), ((4, 5), path(4)), ((4, 5), cycle(4))]:
+        G, col = grid(a, b), _periodic_grid_coloring(a, b)
+        pat = make_pattern(H)
+        used, classes, quotient = color_classes(G, col)
+        bit = {c: 1 << i for i, c in enumerate(used)}
+        enumerated = 0
+        for C, verts in _connected_unions(classes, quotient, pat.graph.n, None):
+            cbit = [0] + [bit[col.colors[v]] for v in verts]
+            for img in _exact_embeddings(local_adjacency(G, verts), cbit, C, pat):
+                assert sum({cbit[u] for u in img}) == C
+                enumerated += 1
+        listing = list_isomorphs(G, pat, coloring=col)
+        assert enumerated == pat.aut_count * len(listing)
+        assert len(listing) == count_isomorphs(G, pat, coloring=col).total
+        if G.n <= 20:
+            assert list(listing) == brute_copies(G, H)
+        else:
+            assert enumerated == 2656  # P4 on grid 10 x 10: 1,328 copies
+
+
 def test_listing_empty_when_absent():
     assert list_isomorphs(cycle(4), clique(3)) == ()
 
@@ -258,6 +363,15 @@ def test_count_on_decomposition_rejects_invalid():
     bad = TreeDecomposition(bags=(frozenset({1, 2}),), tree_edges=())
     with pytest.raises(DomainError):
         count_on_decomposition(G, bad, path(2))
+
+
+def test_count_on_decomposition_width_limit():
+    G = path(34)
+    one_bag = TreeDecomposition(bags=(frozenset(range(1, 35)),), tree_edges=())
+    with pytest.raises(DomainError, match="exceeds the limit 32"):
+        count_on_decomposition(G, one_bag, path(2))
+    T = TreeDecomposition(bags=(frozenset(range(1, 34)),), tree_edges=())
+    assert count_on_decomposition(path(33), T, path(2)) == 32
 
 
 def test_inclusion_exclusion_consistency():
