@@ -267,7 +267,6 @@ class AugmentationTrace:
     """
 
     steps: tuple[ArcListDigraph, ...]
-    mds: tuple[int, ...]
     transitivity_added: tuple[int, ...]
     fraternity_added: tuple[int, ...]
     fraternity_delta_max: tuple[int, ...]
@@ -291,7 +290,6 @@ def augment(G: Graph, c: int, *, drop_above: int | None = None) -> AugmentationT
         raise DomainError(f"step count must be an int >= 1, got {c!r}")
     first, _ = orient(G)
     steps = [first]
-    mds = [first.md]
     t_added: list[int] = []
     f_added: list[int] = []
     f_delta: list[int] = []
@@ -303,13 +301,11 @@ def augment(G: Graph, c: int, *, drop_above: int | None = None) -> AugmentationT
         else:
             nxt, stats, changed = _step(dg, changed, drop_above, track=i < c - 1)
         steps.append(nxt)
-        mds.append(nxt.md)
         t_added.append(stats.transitivity_added)
         f_added.append(stats.fraternity_added)
         f_delta.append(stats.fraternity_delta_max)
     return AugmentationTrace(
         steps=tuple(steps),
-        mds=tuple(mds),
         transitivity_added=tuple(t_added),
         fraternity_added=tuple(f_added),
         fraternity_delta_max=tuple(f_delta),

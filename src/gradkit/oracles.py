@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: plain BFS tables, subset
 enumeration, permutation search, candidate lists, a full augmentation
-step, exact tree-depth per union of colour classes.  Beyond the Graph and
+step, plain root recursion for tree-depth (brute_treedepth), exact
+tree-depth per union of colour classes.  Beyond the Graph and
 ArcListDigraph containers, the checkers share a few helpers with the code
 they check: is_centered and is_p_centered walk the connected vertex sets
 from core.connected_sets, and they and longest_path read the graph as
@@ -28,6 +29,7 @@ from .treedepth import treedepth_decide
 
 INF = -1  # sentinel for "unreachable" in distance tables
 CERTIFY_LIMIT = 20  # order above which the colouring checkers refuse
+_TREEDEPTH_LIMIT = 12  # order above which brute_treedepth refuses
 
 
 def bfs_distances(G: Graph, source: int) -> list[int]:
@@ -54,15 +56,6 @@ def bfs_all_pairs(G: Graph) -> list[list[int]]:
     for x in range(1, G.n + 1):
         table.append(bfs_distances(G, x))
     return table
-
-
-def _aut_count(H: Graph) -> int:
-    edges = {frozenset(e) for e in H.edges}
-    count = 0
-    for perm in permutations(range(1, H.n + 1)):
-        if all(frozenset((perm[u - 1], perm[v - 1])) in edges for (u, v) in H.edges):
-            count += 1
-    return count
 
 
 def brute_copies(G: Graph, H: Graph) -> list[tuple[tuple[int, ...], frozenset[frozenset[int]]]]:
@@ -117,6 +110,45 @@ def longest_path(G: Graph) -> int:
             best += 1
         current = nxt
     return best
+
+
+def brute_treedepth(G: Graph) -> int:
+    """Tree-depth by plain root recursion: td of a connected set is 1 + the
+    least, over its vertices v, of the largest td of a component left by v.
+
+    Memoised on vertex masks (bit v for vertex v); exponential, so orders
+    above 12 raise SizeLimitError.
+    """
+    if G.n > _TREEDEPTH_LIMIT:
+        raise SizeLimitError(
+            f"graph order {G.n} exceeds the brute tree-depth limit {_TREEDEPTH_LIMIT}"
+        )
+
+    def components(mask: int) -> list[int]:
+        comps = []
+        while mask:
+            seed = (mask & -mask).bit_length() - 1
+            comp, stack = 1 << seed, [seed]
+            while stack:
+                for w in G.adj[stack.pop()]:
+                    if mask >> w & 1 and not comp >> w & 1:
+                        comp |= 1 << w
+                        stack.append(w)
+            comps.append(comp)
+            mask &= ~comp
+        return comps
+
+    memo: dict[int, int] = {}
+
+    def td(comp: int) -> int:
+        if comp not in memo:
+            memo[comp] = 1 + min(
+                max((td(c) for c in components(comp & ~(1 << v))), default=0)
+                for v in range(1, G.n + 1) if comp >> v & 1
+            )
+        return memo[comp]
+
+    return max((td(c) for c in components(((1 << G.n) - 1) << 1)), default=0)
 
 
 def brute_has_hom(G: Graph, H: Graph) -> bool:

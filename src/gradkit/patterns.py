@@ -75,7 +75,6 @@ class CountReport:
 
     total: int
     by_color_subset: dict[frozenset[int], int]
-    listing: tuple[Copy, ...] | None = None
 
 
 def _copies(adj: Sequence[Sequence[int]], events: Sequence[int], pat: Pattern) -> int:
@@ -303,19 +302,16 @@ def count_isomorphs(
     S: frozenset[int] | None = None,
     *,
     coloring: Coloring | None = None,
-    include_listing: bool = False,
 ) -> CountReport:
     """Count distinct copies of H in G, optionally only those meeting S.
 
     The report splits the total by the exact colour set of each copy.
-    With include_listing it also carries every copy, listed with the same
-    coloring.  Vertices of S outside 1..n, and a coloring whose length is
-    not n + 1, raise InputError.
+    Vertices of S outside 1..n, and a coloring whose length is not n + 1,
+    raise InputError.
     """
     pat, col = _prepare(G, H, S, coloring)
     exact = _exact_counts(G, pat, col, S)
-    listing = list_isomorphs(G, pat, S, coloring=col) if include_listing else None
-    return CountReport(total=sum(exact.values()), by_color_subset=exact, listing=listing)
+    return CountReport(total=sum(exact.values()), by_color_subset=exact)
 
 
 def _pattern_order(pat: Pattern) -> tuple[list[int], list[list[int]]]:

@@ -349,11 +349,6 @@ def _ball_growing(G: Graph, l: int) -> tuple[set[int], int]:
     return S, largest
 
 
-def _balanced_separator(G: Graph, l: int) -> set[int]:
-    """The ball-growing separator alone."""
-    return _ball_growing(G, l)[0]
-
-
 def separate_or_minor(
     G: Graph,
     l: int,

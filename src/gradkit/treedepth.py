@@ -1,11 +1,18 @@
 """Exact tree-depth and the fixed-k decision procedure.
 
-treedepth_exact searches over root choices with memoization on connected
-vertex subsets; the witness forest is reconstructed from the memo.  The
-decision procedure first builds a DFS forest: a height of 2^k or more
-refutes td <= k outright, because any DFS tree height is sandwiched
-between td and 2^td - 1.  Below the cutoff it runs an exact search whose
-subproblems are pruned with the same DFS bounds.
+Both run one bounded branch-and-bound over connected vertex masks:
+depth(mask, budget) returns the exact tree-depth of a connected mask when
+it is at most budget, and otherwise some value above budget.  The bounds
+come from the lowest-id DFS tree of the mask: its height h is a witness
+(rooted at the DFS root), and since it holds a path on h vertices,
+ceil(log2(h + 1)) is a lower bound.  Roots are tried in descending degree;
+a root can only improve on the best depth found so far if every component
+left by it fits in two less, so that is the children's budget.  One memo
+per mask holds either the exact value with an optimal root, from which the
+witness forest is read, or the largest budget the mask is known to exceed.
+The decision procedure first screens each component by its DFS height: a
+height of 2^k or more refutes td <= k outright, because any DFS tree
+height is sandwiched between td and 2^td - 1.
 """
 
 from __future__ import annotations
@@ -68,64 +75,27 @@ def _dfs_height(mask: int, adjm: list[int]) -> int:
 
 
 class _Solver:
-    """Shared engine for exact values and bounded decisions on one graph."""
+    """Bounded tree-depth search over the connected vertex masks of one graph."""
 
     def __init__(self, G: Graph):
         self.adjm = neighbour_masks(G)
-        self.exact_memo: dict[int, tuple[int, int]] = {}  # mask -> (td, best root bit)
-        self.decide_memo: dict[tuple[int, int], bool] = {}
+        # mask -> (td, root bit) once exact, or (b, 0) when only td > b is known
+        self.memo: dict[int, tuple[int, int]] = {}
 
-    def exact_connected(self, mask: int) -> int:
-        """Tree-depth of the connected induced subgraph on mask."""
-        hit = self.exact_memo.get(mask)
-        if hit is not None:
-            return hit[0]
-        count = mask.bit_count()
-        if count == 1:
-            self.exact_memo[mask] = (1, mask)
-            return 1
-        best = count
-        best_root = mask & -mask
-        floor_lb = (count + 1).bit_length() - 1  # td >= ceil(log2(count+1))
-        lb = floor_lb if (1 << floor_lb) == count + 1 else floor_lb + 1
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            sub = mask ^ low
-            depth = 1 + max(
-                (self.exact_connected(c) for c in _mask_components(sub, self.adjm)),
-                default=0,
-            )
-            if depth < best:
-                best = depth
-                best_root = low
-                if best == lb:
-                    break
-        self.exact_memo[mask] = (best, best_root)
-        return best
-
-    def decide_connected(self, mask: int, budget: int) -> bool:
-        """Is the tree-depth of the connected subgraph on mask <= budget?"""
-        if budget <= 0:
-            return mask == 0
-        count = mask.bit_count()
-        if count <= budget:
-            return True
-        hit = self.decide_memo.get((mask, budget))
-        if hit is not None:
-            return hit
+    def depth(self, mask: int, budget: int) -> int:
+        """Tree-depth of the connected mask if it is at most budget, else
+        some value above budget."""
+        value, root = self.memo.get(mask, (0, 0))
+        if root or budget <= value:
+            return value if root else value + 1
         h = _dfs_height(mask, self.adjm)
-        if h <= budget:
-            self.decide_memo[(mask, budget)] = True
-            return True
-        # the DFS tree contains a path on h vertices
-        floor_lb = (h + 1).bit_length() - 1
-        lb = floor_lb if (1 << floor_lb) == h + 1 else floor_lb + 1
+        lb = h.bit_length()  # ceil(log2(h + 1)): the DFS tree holds a path on h vertices
         if lb > budget:
-            self.decide_memo[(mask, budget)] = False
-            return False
-        # branch on the root, high-degree vertices first
+            self.memo[mask] = (lb - 1, 0)
+            return lb
+        # the DFS tree is a witness of height h, rooted at the lowest vertex
+        best = min(h, budget + 1)
+        best_root = mask & -mask if h == best else 0
         order = []
         rest = mask
         while rest:
@@ -133,50 +103,54 @@ class _Solver:
             rest ^= low
             order.append(((self.adjm[low.bit_length() - 1] & mask).bit_count(), low))
         order.sort(reverse=True)
-        ans = False
         for _, low in order:
-            sub = mask ^ low
-            if all(
-                self.decide_connected(c, budget - 1)
-                for c in _mask_components(sub, self.adjm)
-            ):
-                ans = True
+            if best == lb:
                 break
-        self.decide_memo[(mask, budget)] = ans
-        return ans
+            cap = best - 2  # a root helps only if every child fits in best - 2
+            worst = 0
+            for c in _mask_components(mask ^ low, self.adjm):
+                d = self.depth(c, cap)
+                if d > cap:
+                    break
+                worst = max(worst, d)
+            else:
+                best, best_root = worst + 1, low
+        self.memo[mask] = (best, best_root) if best_root else (budget, 0)
+        return best
 
-    def forest_parents(self, mask: int, parent_of_root: int, out: dict[int, int]) -> None:
-        """Reconstruct an optimal elimination forest from the exact memo."""
-        stack = [(c, parent_of_root) for c in _mask_components(mask, self.adjm)]
+    def forest_parents(self, mask: int) -> dict[int, int]:
+        """Parents of an optimal elimination forest, read from the exact memo."""
+        out: dict[int, int] = {}
+        stack = [(c, 0) for c in _mask_components(mask, self.adjm)]
         while stack:
             comp, par = stack.pop()
-            self.exact_connected(comp)
-            root_bit = self.exact_memo[comp][1]
+            self.depth(comp, comp.bit_count())
+            root_bit = self.memo[comp][1]
             root = root_bit.bit_length()
             out[root] = par
-            for c in _mask_components(comp ^ root_bit, self.adjm):
-                stack.append((c, root))
+            stack.extend((c, root) for c in _mask_components(comp ^ root_bit, self.adjm))
+        return out
 
 
 def treedepth_exact(G: Graph, *, limit: int = DEFAULT_EXACT_LIMIT) -> tuple[int, RootedForest]:
     """Minimum height of a rooted forest whose closure contains G, plus a witness.
 
-    Exponential search, memoized per connected subset; each connected
-    component must have at most `limit` vertices.
+    Runs the bounded search with budget |C| on each connected component C,
+    which every component meets, so each value is exact; the witness roots
+    come from the same memo.  Each component must have at most `limit`
+    vertices.
     """
     solver = _Solver(G)
     full = (1 << G.n) - 1
-    comps = _mask_components(full, solver.adjm) if G.n else []
+    comps = _mask_components(full, solver.adjm)
     for comp in comps:
         if comp.bit_count() > limit:
             raise SizeLimitError(
                 f"component with {comp.bit_count()} vertices exceeds the "
                 f"exact tree-depth limit {limit}"
             )
-    depth = max((solver.exact_connected(c) for c in comps), default=0)
-    parents: dict[int, int] = {}
-    if G.n:
-        solver.forest_parents(full, 0, parents)
+    depth = max((solver.depth(c, c.bit_count()) for c in comps), default=0)
+    parents = solver.forest_parents(full)
     forest = make_forest(G.n, {v: parents.get(v, 0) for v in range(1, G.n + 1)})
     return depth, forest
 
@@ -186,18 +160,15 @@ def treedepth_decide(G: Graph, k: int) -> bool:
 
     Each component is screened by its DFS height (>= 2^k means "no"
     immediately, <= k means "yes"); only the remaining window runs the
-    exact bounded search.
+    bounded search with budget k.
     """
     if k < 1:
         return G.n == 0
     solver = _Solver(G)
-    full = (1 << G.n) - 1
-    for comp in _mask_components(full, solver.adjm) if G.n else []:
+    for comp in _mask_components((1 << G.n) - 1, solver.adjm):
         h = _dfs_height(comp, solver.adjm)
         if h >= (1 << k):
             return False
-        if h <= k:
-            continue
-        if not solver.decide_connected(comp, k):
+        if h > k and solver.depth(comp, k) > k:
             return False
     return True

@@ -183,8 +183,8 @@ def test_indegree_recurrence():
             continue
         trace = augment(G, 2)
         for i in range(len(trace.steps) - 1):
-            md_i = trace.mds[i]
-            md_next = trace.mds[i + 1]
+            md_i = trace.steps[i].md
+            md_next = trace.steps[i + 1].md
             nabla = grad(underlying_graph(trace.steps[i + 1]), 0).value
             assert md_next <= md_i * md_i + md_i + int(2 * nabla)
 

@@ -325,9 +325,9 @@ def test_listing_empty_when_absent():
 
 
 def test_report_listing_length_equals_total():
-    rep = count_isomorphs(grid(3, 3), cycle(4), include_listing=True)
-    assert rep.listing is not None and len(rep.listing) == rep.total
-    assert count_isomorphs(grid(3, 3), cycle(4)).listing is None
+    for G in [grid(3, 3), cycle(6), clique(5), random_regular(12, 3, 2)]:
+        for H in [cycle(4), path(3), clique(3)]:
+            assert len(list_isomorphs(G, H)) == count_isomorphs(G, H).total
 
 
 def test_count_on_decomposition_direct():

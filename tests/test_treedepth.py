@@ -7,7 +7,7 @@ from gradkit.core import build_graph
 from gradkit.errors import SizeLimitError
 from gradkit.forests import closure, dfs_forest, make_forest
 from gradkit.generators import clique, cycle, grid, path, random_regular, star
-from gradkit.oracles import longest_path
+from gradkit.oracles import brute_treedepth, longest_path
 from gradkit.treedepth import treedepth_decide, treedepth_exact
 
 SMALL = [
@@ -105,3 +105,40 @@ def test_closure_round_trip():
         F = make_forest(n, parent)
         depth, _ = treedepth_exact(closure(F))
         assert depth <= F.max_height
+
+
+def _agrees_with_brute(G):
+    want = brute_treedepth(G)
+    depth, forest = treedepth_exact(G)
+    assert depth == want, G.edges
+    assert forest.max_height == want, G.edges
+    clos = closure(forest)
+    assert all(clos.has_edge(u, v) for (u, v) in G.edges), G.edges
+    for k in range(1, 7):
+        assert treedepth_decide(G, k) == (want <= k), (G.edges, k)
+
+
+def test_stars_with_centre_last():
+    # no count-based lower bound may cut the search: K1,r has td 2 at any r
+    for r in (3, 6):
+        G = build_graph(r + 1, [(r + 1, v) for v in range(1, r + 1)])
+        assert brute_treedepth(G) == 2
+        _agrees_with_brute(G)
+
+
+def test_exact_decide_and_witness_match_brute_force():
+    rng = random.Random(11)
+    for density in (0.15, 0.3, 0.5, 0.75):
+        for _ in range(550):
+            n = rng.randint(1, 9)
+            edges = [
+                (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                if rng.random() < density
+            ]
+            _agrees_with_brute(build_graph(n, edges))
+
+
+def test_brute_treedepth_limit():
+    with pytest.raises(SizeLimitError):
+        brute_treedepth(path(13))
+    assert brute_treedepth(build_graph(0, [])) == 0
