@@ -26,7 +26,7 @@ from .core import Graph, bit_indices, connected_sets, local_adjacency, underlyin
 from .augmentation import augment
 from .errors import DomainError, NotCenteredError
 from .forests import RootedForest, make_forest
-from .orientation import orient
+from .orientation import degeneracy_order
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,8 @@ def greedy_coloring(H: Graph) -> Coloring:
 
     Uses at most delta_max(H) + 1 colours.
     """
-    _, order = orient(H)
     colors = [0] * (H.n + 1)
-    for v in reversed(order.order):
+    for v in reversed(degeneracy_order(H.n, H.adj).order):
         taken = {colors[w] for w in H.adj[v] if colors[w]}
         c = 1
         while c in taken:

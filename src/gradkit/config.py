@@ -11,18 +11,22 @@ import os
 from dataclasses import dataclass, fields
 
 from .errors import InputError
+from .gradoracle import DEFAULT_LIMIT, DEFAULT_LIMIT_R0
+from .patterns import DEFAULT_PATTERN_LIMIT
+from .separator import DEFAULT_C1, DEFAULT_MINOR_ATTEMPTS
+from .treedepth import DEFAULT_EXACT_LIMIT
 
 ENV_VAR = "GRADKIT_CONFIG"
 
 
 @dataclass
 class Config:
-    oracle_limit_r0: int = 16
-    oracle_limit: int = 12
-    exact_treedepth_limit: int = 20
-    pattern_limit: int = 5
-    separator_c1: float = 4.0
-    minor_attempts: int = 8
+    oracle_limit_r0: int = DEFAULT_LIMIT_R0
+    oracle_limit: int = DEFAULT_LIMIT
+    exact_treedepth_limit: int = DEFAULT_EXACT_LIMIT
+    pattern_limit: int = DEFAULT_PATTERN_LIMIT
+    separator_c1: float = DEFAULT_C1
+    minor_attempts: int = DEFAULT_MINOR_ATTEMPTS
     default_k: int = 4
 
     def validate(self) -> None:

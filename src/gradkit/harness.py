@@ -243,6 +243,19 @@ def _suite_patterns() -> list[OracleReport]:
         reports.append(
             OracleReport(f"patterns.decide.{mode}", "K3 in C5", str(got), str(want), got == want)
         )
+    for hname, H, gname, G in [
+        ("K1,4", star(4), "grid(3,3)", grid(3, 3)),
+        ("K1,4", star(4), "cycle(7)", cycle(7)),
+        ("P5", path(5), "cycle(7)", cycle(7)),
+        ("P5", path(5), "clique(5)", clique(5)),  # a subgraph, not induced
+    ]:
+        got = decide_containment(G, H, "induced")
+        want = oracles.brute_has_induced(G, H)
+        reports.append(
+            OracleReport(
+                "patterns.decide.induced", f"{hname} in {gname}", str(got), str(want), got == want
+            )
+        )
     return reports
 
 

@@ -1,17 +1,18 @@
 """Counting, listing and deciding small-pattern containment.
 
-The counting pipeline colours the host graph so that any h colour classes
-induce a subgraph of tree-depth at most h.  A copy of a connected pattern
-on h vertices meets at most h colour classes, and the classes it meets are
-connected in the colour quotient graph (colours adjacent when some host
-edge joins their classes), so only those colour sets are visited: each
-connected set C of at most h colours once, with the union of its classes
-read off the class lists and the host adjacency.  Copies inside a union
-are counted by an introduce/forget dynamic program that walks the union's
-elimination forest, and a Moebius pass over the connected colour sets
-turns the per-union counts into counts per exact colour set, so every copy
-is counted exactly once.  Counting only the copies that meet a vertex set
-S takes count(union) - count(union - S) on each union that meets S.
+The host graph is coloured so that any h colour classes induce a subgraph
+of tree-depth at most h.  A copy of a connected pattern on h vertices
+meets at most h colour classes, connected in the colour quotient graph
+(colours adjacent when some host edge joins their classes), so only those
+colour sets are visited, each once, with the union of its classes read off
+the class lists and the host adjacency.  An introduce/forget dynamic
+program walks the union's elimination forest and counts the copies, or
+the induced copies, in it.  Counting turns the per-union counts into
+counts per exact colour set by a Moebius pass, so every copy is counted
+once; the copies meeting a vertex set S are count(union) - count(union -
+S) on each union that meets S.  Listing enumerates each copy in the union
+of its exact colour set only.  Deciding containment stops at the first
+union holding a copy; homomorphism is decided on the pattern's quotients.
 
 "Copy" means a distinct subgraph of the host isomorphic to the pattern:
 injective homomorphisms divided by the pattern's automorphism count.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterator, Sequence
 
 from .coloring import Coloring, centered_parents, color_classes, low_tdepth_coloring
@@ -77,10 +78,12 @@ class CountReport:
     by_color_subset: dict[frozenset[int], int]
 
 
-def _copies(adj: Sequence[Sequence[int]], events: Sequence[int], pat: Pattern) -> int:
+def _copies(
+    adj: Sequence[Sequence[int]], events: Sequence[int], pat: Pattern, induced: bool = False
+) -> int:
     """Count distinct copies of pat in the graph with rows adj (adj[0]
     unused) by the introduce/forget DP over events: v > 0 introduces v and
-    -v forgets it.
+    -v forgets it; with induced, only induced copies count.
 
     States are partial injective maps from pattern vertices to introduced
     vertices, extended with a done marker for vertices already embedded in
@@ -90,10 +93,15 @@ def _copies(adj: Sequence[Sequence[int]], events: Sequence[int], pat: Pattern) -
     point: the events must be a walk of an elimination forest (enter v,
     its subtrees, leave v) or of a tree decomposition of the graph, each
     vertex introduced once.  A state with more unmapped pattern vertices
-    than introductions still to come is dropped.
+    than introductions still to come is dropped.  Non-edges (with induced)
+    are checked against live images only, so they need the walk of an
+    elimination forest: a forgotten vertex lies in a finished subtree, not
+    adjacent to the vertex being introduced.
     """
     h = pat.graph.n
     hadj = [[w - 1 for w in pat.graph.adj[x + 1]] for x in range(h)]
+    if induced:  # the pattern's non-neighbours; built only when checked
+        non = [[y for y in range(h) if y != x and y not in hadj[x]] for x in range(h)]
     UNSEEN, DONE = 0, -1
     states: dict[tuple[int, ...], int] = {(UNSEEN,) * h: 1}
     left = sum(u > 0 for u in events)
@@ -114,6 +122,8 @@ def _copies(adj: Sequence[Sequence[int]], events: Sequence[int], pat: Pattern) -
                         if img > 0 and img not in near:
                             break
                     else:
+                        if induced and any(state[y] in near for y in non[x]):
+                            continue
                         new[state[:x] + (u,) + state[x + 1 :]] = cnt
         else:
             u = -u
@@ -217,16 +227,20 @@ def _connected_unions(
         yield C, verts
 
 
-def _count_in_union(G: Graph, verts: list[int], colors: Sequence[int], pat: Pattern) -> int:
-    """Count pattern copies in G[verts], verts sorted.
+def _count_in_union(
+    G: Graph, verts: list[int], colors: Sequence[int], pat: Pattern, induced: bool = False
+) -> int:
+    """Count copies of pat (induced ones, with induced) in G[verts], sorted.
 
     The union's rows over local ids come from local_adjacency, its
     elimination forest from centered_parents on the colours, and the DP
-    walks that forest; no subgraph object is built.  low_tdepth_coloring(G,
-    h + 1) is certified on every full union; for a union minus S, or a
-    colouring the caller supplied, where the restricted colouring may not
-    be centered, the forest is a DFS forest, which is always an
-    elimination forest.
+    walks that forest; no subgraph object is built.  A colouring centered
+    on a union stays centered on every induced subgraph of it, a union
+    minus S included: a connected set holds the lowest common ancestor of
+    its vertices in the union's forest, whose colour is unique in its
+    subtree.  low_tdepth_coloring(G, h + 1) is centered on every union of
+    at most h colours, so only a colouring the caller supplied can fail
+    here; the forest is then a DFS forest, always an elimination forest.
     """
     if len(verts) < pat.graph.n:
         return 0
@@ -237,7 +251,19 @@ def _count_in_union(G: Graph, verts: list[int], colors: Sequence[int], pat: Patt
         parent = centered_parents(adj, [0] + [colors[v] for v in verts])
     except NotCenteredError:
         parent = dfs_parents(adj)
-    return _copies(adj, _forest_walk(parent), pat)
+    return _copies(adj, _forest_walk(parent), pat, induced)
+
+
+def _contains(G: Graph, pat: Pattern, col: Coloring, induced: bool) -> bool:
+    """Does G hold a copy of pat (an induced one, with induced)?  A copy
+    lies in the union of its own colour set, one of the connected unions,
+    and is induced in G iff it is induced in that union, so the scan stops
+    at the first union whose count is positive."""
+    _, classes, adjm = color_classes(G, col)
+    return any(
+        _count_in_union(G, verts, col.colors, pat, induced)
+        for _, verts in _connected_unions(classes, adjm, pat.graph.n, None)
+    )
 
 
 def _exact_counts(
@@ -418,53 +444,29 @@ def _set_partitions(items: list[int]):
 
 
 def decide_containment(G: Graph, H: Pattern | Graph, mode: str) -> bool:
-    """Decide hom / subgraph / induced-subgraph containment of H in G."""
+    """Decide hom / subgraph / induced-subgraph containment of H in G.
+
+    G is coloured once with low_tdepth_coloring(G, h + 1).  Subgraph and
+    induced mode are one scan of the connected colour-set unions that stops
+    at the first union holding a copy.  H maps into G iff some quotient of
+    H by independent sets is a subgraph of G, so hom mode scans each one.
+    """
     pat = H if isinstance(H, Pattern) else make_pattern(H)
     h = pat.graph.n
-    if mode == "subgraph":
-        return count_isomorphs(G, pat).total > 0
-    col = low_tdepth_coloring(G, h + 1) if G.n else None
-    if mode == "induced":
-        # alternating sum over edge-supersets of H on the same vertex set
-        non_edges = [
-            (u, v)
-            for u in range(1, h + 1)
-            for v in range(u + 1, h + 1)
-            if not pat.graph.has_edge(u, v)
-        ]
-        total = 0
-        for r in range(len(non_edges) + 1):
-            for extra in combinations(non_edges, r):
-                Hf = build_graph(h, list(pat.graph.edges) + list(extra))
-                pf = make_pattern(Hf, limit=h)
-                copies = count_isomorphs(G, pf, coloring=col).total
-                total += (-1 if r % 2 else 1) * copies * pf.aut_count
-        return total > 0
-    if mode == "hom":
-        # a homomorphism exists iff some quotient of H by independent sets
-        # embeds as a subgraph
-        for part in _set_partitions(list(range(1, h + 1))):
-            blocks = [set(b) for b in part]
-            if any(
-                pat.graph.has_edge(u, v)
-                for b in blocks
-                for u in b
-                for v in b
-                if u < v
-            ):
-                continue
-            idx = {}
-            for i, b in enumerate(blocks):
-                for u in b:
-                    idx[u] = i + 1
-            qedges = {
-                (min(idx[u], idx[v]), max(idx[u], idx[v])) for (u, v) in pat.graph.edges
-            }
-            Q = build_graph(len(blocks), sorted(qedges))
-            if count_isomorphs(G, make_pattern(Q, limit=h), coloring=col).total > 0:
-                return True
-        return False
-    raise DomainError(f"unknown containment mode {mode!r}")
+    if mode not in ("hom", "subgraph", "induced"):
+        raise DomainError(f"unknown containment mode {mode!r}")
+    col = low_tdepth_coloring(G, h + 1)
+    if mode != "hom":
+        return _contains(G, pat, col, mode == "induced")
+    for part in _set_partitions(list(range(1, h + 1))):
+        idx = {u: i for i, b in enumerate(part, start=1) for u in b}
+        if any(idx[u] == idx[v] for (u, v) in pat.graph.edges):
+            continue
+        qedges = {tuple(sorted((idx[u], idx[v]))) for (u, v) in pat.graph.edges}
+        Q = build_graph(len(part), sorted(qedges))
+        if _contains(G, make_pattern(Q, limit=h), col, False):
+            return True
+    return False
 
 
 @lru_cache(maxsize=8)
@@ -534,13 +536,7 @@ def _induced_embedding(G: Graph, M: Graph) -> frozenset[int] | None:
     return rec(0)
 
 
-def exists_small_model(
-    G: Graph,
-    p: int,
-    pred,
-    *,
-    limit: int = DEFAULT_PATTERN_LIMIT,
-) -> frozenset[int] | None:
+def exists_small_model(G: Graph, p: int, pred) -> frozenset[int] | None:
     """Witness X with |X| <= p and pred(G[X]), or None.
 
     pred must be isomorphism-invariant: it is evaluated once per
@@ -549,8 +545,8 @@ def exists_small_model(
     """
     if p < 1:
         raise DomainError(f"size bound must be >= 1, got {p}")
-    if p > limit:
-        raise PatternError(f"size bound {p} exceeds the pattern limit {limit}")
+    if p > DEFAULT_PATTERN_LIMIT:
+        raise PatternError(f"size bound {p} exceeds the pattern limit {DEFAULT_PATTERN_LIMIT}")
     for M in _iso_classes(p):
         if not pred(M):
             continue

@@ -189,6 +189,25 @@ def test_breakdown_matches_brute_force_on_random_colourings(case, pname):
     assert rep.total == sum(want.values())
 
 
+def test_default_colourings_never_take_the_dfs_fallback(monkeypatch):
+    # a colouring centered on a union stays centered on the union minus S,
+    # so under low_tdepth_coloring(G, h + 1) every union gets its centered
+    # forest, the restricted ones included
+    def refuse(adj):
+        raise AssertionError("dfs_parents fallback reached")
+
+    monkeypatch.setattr(patterns, "dfs_parents", refuse)
+    rng = random.Random(8)
+    for G, pats in [
+        (grid(8, 8), [path(2), path(3), clique(3)]),
+        (random_regular(64, 3, 1), [path(2), path(3), clique(3)]),
+        (grid(4, 5), [path(3), cycle(4)]),
+    ]:
+        S = frozenset(rng.sample(range(1, G.n + 1), 8))
+        for H in pats:
+            assert count_isomorphs(G, H, S).total == brute_count_hitting(G, H, S)
+
+
 def test_random_colouring_examples_take_both_forests(monkeypatch):
     # the explicit examples above cover both ways a union gets its forest
     calls = {"centered": 0, "dfs": 0}
@@ -403,6 +422,39 @@ def test_decide_matches_brute_force():
             assert decide_containment(G, H, "subgraph") == brute_has_subgraph(G, H)
             assert decide_containment(G, H, "induced") == brute_has_induced(G, H)
             assert decide_containment(G, H, "hom") == brute_has_hom(G, H)
+
+
+BULL = build_graph(5, [(1, 2), (2, 3), (1, 3), (1, 4), (2, 5)])
+DECIDE_PATTERNS = {
+    "P5": path(5),
+    "K1,4": star(4),
+    "C5": cycle(5),
+    "bull": BULL,
+    "P4": path(4),
+    "C4": cycle(4),
+}
+BRUTE_HAS = {"hom": brute_has_hom, "subgraph": brute_has_subgraph, "induced": brute_has_induced}
+
+
+def test_decide_matches_brute_force_on_random_graphs():
+    # seeded random hosts, n <= 9 (the empty host included), at four edge
+    # densities; the 5-vertex patterns check the DP's non-edge test and
+    # the quotients of hom mode
+    rng = random.Random(12)
+    pats = {pname: make_pattern(H) for pname, H in DECIDE_PATTERNS.items()}
+    seen: dict[tuple[str, str], set[bool]] = {}
+    for i in range(300):
+        n = rng.randint(0, 9)
+        density = (0.2, 0.35, 0.5, 0.7)[i % 4]
+        pairs = combinations(range(1, n + 1), 2)
+        G = build_graph(n, [e for e in pairs if rng.random() < density])
+        for pname, pat in pats.items():
+            for mode, brute in BRUTE_HAS.items():
+                got = decide_containment(G, pat, mode)
+                assert got == brute(G, pat.graph), (G.n, G.edges, pname, mode)
+                seen.setdefault((pname, mode), set()).add(got)
+    # every pattern and mode met both answers
+    assert all(answers == {True, False} for answers in seen.values())
 
 
 def test_hom_contained_subgraph_implies_hom():
