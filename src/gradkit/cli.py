@@ -16,7 +16,7 @@ from .config import resolve_config
 from .coloring import low_tdepth_coloring
 from .core import Graph, _check_vertex
 from .distance import preprocess
-from .errors import DomainError, InputError, OracleLimitError
+from .errors import DomainError, InputError
 from .generators import FAMILIES, GeneratorSpec, lex_product_kc
 from .gradoracle import ball_family, evaluate_family, grad
 from .harness import run_suite
@@ -128,7 +128,7 @@ def _cmd_count(args, cfg) -> int:
     report = count_isomorphs(G, pat, S, coloring=col)
     print(f"count {report.total}")
     if args.list:
-        for (verts, edges) in list_isomorphs(G, pat, S, coloring=col):
+        for (verts, edges) in list_isomorphs(G, pat, S):
             vtxt = " ".join(str(v) for v in verts)
             etxt = " ".join("-".join(str(x) for x in sorted(e)) for e in sorted(edges, key=sorted))
             print(f"{vtxt} ; {etxt}")
@@ -298,9 +298,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args.config)
         return args.fn(args, cfg)
-    except OracleLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ from .generators import (
 )
 from .gradoracle import grad
 from .orientation import orient
-from .patterns import count_isomorphs, decide_containment, make_pattern
+from .patterns import count_isomorphs, decide_containment, list_isomorphs, make_pattern
 from .separator import separate_or_minor, validate
 from .treedepth import treedepth_decide, treedepth_exact
 
@@ -233,6 +233,9 @@ def _suite_patterns() -> list[OracleReport]:
                     f"patterns.count[{hname}]", gname, str(got), str(want), got == want
                 )
             )
+            got, want = list(list_isomorphs(G, pat)), oracles.brute_copies(G, H)
+            test_id = f"patterns.list[{hname}]"
+            reports.append(OracleReport(test_id, gname, str(len(got)), str(len(want)), got == want))
     for mode in ("hom", "subgraph", "induced"):
         got = decide_containment(cycle(5), make_pattern(clique(3)), mode)
         want = {

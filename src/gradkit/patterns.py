@@ -10,9 +10,11 @@ program walks the union's elimination forest and counts the copies, or
 the induced copies, in it.  Counting turns the per-union counts into
 counts per exact colour set by a Moebius pass, so every copy is counted
 once; the copies meeting a vertex set S are count(union) - count(union -
-S) on each union that meets S.  Listing enumerates each copy in the union
-of its exact colour set only.  Deciding containment stops at the first
+S) on each union that meets S.  Deciding containment stops at the first
 union holding a copy; homomorphism is decided on the pattern's quotients.
+Listing outputs every copy, so colour sets save it no work: it enumerates
+each embedding once over the whole host.  Model search runs the same
+enumerator with induced checks, over all n host vertices per component.
 
 "Copy" means a distinct subgraph of the host isomorphic to the pattern:
 injective homomorphisms divided by the pattern's automorphism count.
@@ -31,7 +33,6 @@ from .core import (
     _check_vertex,
     bit_indices,
     build_graph,
-    connected_components,
     connected_sets,
     is_connected,
     local_adjacency,
@@ -340,94 +341,74 @@ def count_isomorphs(
     return CountReport(total=sum(exact.values()), by_color_subset=exact)
 
 
-def _pattern_order(pat: Pattern) -> tuple[list[int], list[list[int]]]:
-    """BFS order of pattern vertices (0-based) plus earlier-neighbour lists."""
-    h = pat.graph.n
-    hadj = [sorted(w - 1 for w in pat.graph.adj[x + 1]) for x in range(h)]
-    order = [0]
-    seen = {0}
-    for x in order:
-        for y in hadj[x]:
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-    pos = {x: i for i, x in enumerate(order)}
-    back = [[y for y in hadj[x] if pos[y] < pos[x]] for x in order]
-    return order, back
+def _embeddings(
+    adj: Sequence[Sequence[int]], H: Graph, induced: bool = False
+) -> Iterator[tuple[int, ...]]:
+    """Yield every injective embedding of H into the graph with rows adj
+    (adj[0] unused) as an image tuple indexed by pattern vertex - 1; with
+    induced, only those whose image induces exactly H.
 
-
-def _exact_embeddings(adj: Sequence[Sequence[int]], cbit: Sequence[int], C: int, pat: Pattern):
-    """Yield the injective embeddings (image tuple indexed by pattern
-    vertex) into the graph with ascending rows adj whose colour set is
-    exactly C; cbit[u] is the colour bit of vertex u, a bit of C.  A
-    partial embedding stops as soon as the colours of C it has not used
-    outnumber the pattern vertices left to place."""
-    h = pat.graph.n
-    order, back = _pattern_order(pat)
+    Pattern vertices are placed in BFS order, one component after another.
+    A vertex with an earlier neighbour takes its candidates from the row of
+    that neighbour's image and must be adjacent to the images of all its
+    earlier neighbours; a component's first vertex takes every vertex of
+    the graph.  With induced, a candidate adjacent to the image of an
+    earlier non-neighbour is rejected too.
+    """
+    h = H.n
+    order: list[int] = []
+    for r in range(1, h + 1):
+        if r not in order:
+            order.append(r)
+            for x in order:  # grows as it is walked: a BFS of r's component
+                order += [y for y in H.adj[x] if y not in order]
+    nbrs = [[y for y in order[:i] if y in H.adj[x]] for i, x in enumerate(order)]
+    non = [[y for y in order[:i] if y not in H.adj[x]] for i, x in enumerate(order)]
     gadj = [set(a) for a in adj]
-    img = [0] * h
+    img = [0] * (h + 1)
     used: set[int] = set()
 
-    def rec(i: int, mask: int):
+    def rec(i: int) -> Iterator[tuple[int, ...]]:
         if i == h:
-            yield tuple(img)
+            yield tuple(img[1:])
             return
-        x = order[i]
-        anchors = back[i]
-        left = h - i - 1
-        candidates = adj[img[anchors[0]]] if anchors else range(1, len(adj))
-        for u in candidates:
-            if u in used:
+        anchors = nbrs[i]
+        for u in adj[img[anchors[0]]] if anchors else range(1, len(adj)):
+            if u in used or any(u not in gadj[img[y]] for y in anchors):
                 continue
-            if any(u not in gadj[img[y]] for y in anchors):
+            if induced and any(u in gadj[img[y]] for y in non[i]):
                 continue
-            grown = mask | cbit[u]
-            if (C & ~grown).bit_count() > left:
-                continue
-            img[x] = u
+            img[order[i]] = u
             used.add(u)
-            yield from rec(i + 1, grown)
+            yield from rec(i + 1)
             used.discard(u)
 
-    yield from rec(0, 0)
-
-
-def _copy_of(img: tuple[int, ...], pat: Pattern, ids: Sequence[int]) -> Copy:
-    verts = tuple(sorted(ids[u - 1] for u in img))
-    edges = frozenset(
-        frozenset((ids[img[a - 1] - 1], ids[img[b - 1] - 1])) for (a, b) in pat.graph.edges
-    )
-    return (verts, edges)
+    yield from rec(0)
 
 
 def list_isomorphs(
-    G: Graph,
-    H: Pattern | Graph,
-    S: frozenset[int] | None = None,
-    *,
-    coloring: Coloring | None = None,
+    G: Graph, H: Pattern | Graph, S: frozenset[int] | None = None
 ) -> tuple[Copy, ...]:
     """Every copy (meeting S, if given) exactly once, in sorted order.
 
-    A copy is (sorted vertex tuple, edge set).  The colour sets visited are
-    those of the counting pass: the connected colour sets of size <= h
-    whose union meets S.  Each copy is enumerated only in the one colour
-    set that equals its exact colour set.  Vertices of S outside 1..n, and
-    a coloring whose length is not n + 1, raise InputError.
+    A copy is (sorted vertex tuple, edge set).  Listing must output every
+    copy, so it needs no colouring: it enumerates each embedding once over
+    the whole host and keeps those meeting S, at a cost of |Aut(H)| x
+    copies plus the partial embeddings that fail.  Vertices of S outside
+    1..n raise InputError.
     """
-    pat, col = _prepare(G, H, S, coloring)
-    used, classes, adjm = color_classes(G, col)
-    bit = {c: 1 << i for i, c in enumerate(used)}
+    pat = H if isinstance(H, Pattern) else make_pattern(H)
+    check_restriction(G, S)
+    edges = pat.graph.edges
     found: set[Copy] = set()
-    for C, verts in _connected_unions(classes, adjm, pat.graph.n, S):
-        adj = local_adjacency(G, verts)
-        if sum(map(len, adj)) < 2 * pat.graph.m:
-            continue
-        cbit = [0] + [bit[col.colors[v]] for v in verts]
-        for img in _exact_embeddings(adj, cbit, C, pat):
-            if S is not None and not any(verts[u - 1] in S for u in img):
-                continue
-            found.add(_copy_of(img, pat, verts))
+    for img in _embeddings(G.adj, pat.graph):
+        if S is None or not S.isdisjoint(img):
+            found.add(
+                (
+                    tuple(sorted(img)),
+                    frozenset(frozenset((img[a - 1], img[b - 1])) for (a, b) in edges),
+                )
+            )
     return tuple(sorted(found, key=lambda c: (c[0], sorted(tuple(sorted(e)) for e in c[1]))))
 
 
@@ -495,53 +476,14 @@ def _iso_classes(p: int) -> tuple[Graph, ...]:
     )
 
 
-def _induced_embedding(G: Graph, M: Graph) -> frozenset[int] | None:
-    """First induced copy of M (possibly disconnected) in G, or None."""
-    if M.n > G.n:
-        return None
-    comps = connected_components(M)
-    verts: list[int] = [v for comp in comps for v in comp]
-    pos = {v: i for i, v in enumerate(verts)}
-    earlier = [[w for w in range(1, M.n + 1) if w in pos and pos[w] < pos[v]] for v in verts]
-    gadj = [set(a) for a in G.adj]
-    img: dict[int, int] = {}
-
-    def rec(i: int) -> frozenset[int] | None:
-        if i == len(verts):
-            return frozenset(img.values())
-        x = verts[i]
-        anchors = [w for w in earlier[i] if M.has_edge(x, w)]
-        if anchors:
-            candidates = sorted(gadj[img[anchors[0]]])
-        else:
-            candidates = range(1, G.n + 1)
-        taken = set(img.values())
-        for u in candidates:
-            if u in taken:
-                continue
-            ok = True
-            for w in earlier[i]:
-                if M.has_edge(x, w) != (u in gadj[img[w]]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            img[x] = u
-            res = rec(i + 1)
-            if res is not None:
-                return res
-            del img[x]
-        return None
-
-    return rec(0)
-
-
 def exists_small_model(G: Graph, p: int, pred) -> frozenset[int] | None:
     """Witness X with |X| <= p and pred(G[X]), or None.
 
     pred must be isomorphism-invariant: it is evaluated once per
     isomorphism class of graphs with at most p vertices, and each class
-    satisfying it is searched for as an induced subgraph.
+    satisfying it is searched for as an induced subgraph by the listing
+    enumerator, which backtracks over all n host vertices for the first
+    vertex of each component of the class.
     """
     if p < 1:
         raise DomainError(f"size bound must be >= 1, got {p}")
@@ -550,8 +492,7 @@ def exists_small_model(G: Graph, p: int, pred) -> frozenset[int] | None:
     for M in _iso_classes(p):
         if not pred(M):
             continue
-        witness = _induced_embedding(G, M)
-        if witness is not None:
-            return witness
+        for img in _embeddings(G.adj, M, induced=True):
+            return frozenset(img)
     return None
 

@@ -11,7 +11,6 @@ from gradkit.core import (
     connected_sets,
     induced_subgraph,
     is_connected,
-    local_adjacency,
 )
 from gradkit.errors import DomainError, InputError, PatternError
 from gradkit.forests import TreeDecomposition, dfs_forest, forest_to_decomposition
@@ -26,8 +25,7 @@ from gradkit.oracles import (
 )
 from gradkit import patterns
 from gradkit.patterns import (
-    _connected_unions,
-    _exact_embeddings,
+    _embeddings,
     count_isomorphs,
     count_on_decomposition,
     decide_containment,
@@ -273,8 +271,6 @@ def test_coloring_length_must_match_host():
         col = Coloring(colors, 2)
         with pytest.raises(InputError, match="coloring"):
             count_isomorphs(G, path(2), coloring=col)
-        with pytest.raises(InputError, match="coloring"):
-            list_isomorphs(G, path(2), coloring=col)
 
 
 def test_restriction_outside_vertex_range_rejected():
@@ -315,22 +311,13 @@ def _periodic_grid_coloring(a, b):
     )
 
 
-def test_listing_enumerates_each_copy_in_its_exact_colour_set_only():
-    # a partial embedding stops once the colours it still lacks outnumber
-    # the pattern vertices left, so each copy is enumerated |Aut| times,
-    # all in the union of its own colour set
+def test_listing_enumerates_each_embedding_once_over_the_host():
+    # one pass over the whole host yields each copy once per automorphism
     for (a, b), H in [((10, 10), path(4)), ((4, 5), path(4)), ((4, 5), cycle(4))]:
         G, col = grid(a, b), _periodic_grid_coloring(a, b)
         pat = make_pattern(H)
-        used, classes, quotient = color_classes(G, col)
-        bit = {c: 1 << i for i, c in enumerate(used)}
-        enumerated = 0
-        for C, verts in _connected_unions(classes, quotient, pat.graph.n, None):
-            cbit = [0] + [bit[col.colors[v]] for v in verts]
-            for img in _exact_embeddings(local_adjacency(G, verts), cbit, C, pat):
-                assert sum({cbit[u] for u in img}) == C
-                enumerated += 1
-        listing = list_isomorphs(G, pat, coloring=col)
+        enumerated = sum(1 for _ in _embeddings(G.adj, H))
+        listing = list_isomorphs(G, pat)
         assert enumerated == pat.aut_count * len(listing)
         assert len(listing) == count_isomorphs(G, pat, coloring=col).total
         if G.n <= 20:
@@ -480,6 +467,41 @@ def test_exists_small_model():
     assert ind is not None and len(ind) <= 3
     deg = exists_small_model(clique(4), 3, lambda M: all(M.degree(v) >= 2 for v in M.vertices()))
     assert deg is not None
+
+
+def _degrees(M):
+    return sorted(M.degree(v) for v in M.vertices())
+
+
+MODEL_PREDICATES = {
+    "K2+K1": lambda M: M.n == 3 and M.m == 1,
+    "2K2": lambda M: M.n == 4 and _degrees(M) == [1, 1, 1, 1],
+    "P3+K1": lambda M: M.n == 4 and _degrees(M) == [0, 1, 1, 2],
+    "K3+K1": lambda M: M.n == 4 and _degrees(M) == [0, 2, 2, 2],
+    "independent triple": lambda M: M.n == 3 and M.m == 0,
+    "cycle": _is_cycle,
+}
+
+
+def test_exists_small_model_witness_and_none_agree_with_brute_force():
+    # the disconnected classes place a component's first vertex anywhere in
+    # the host and must still keep it off the other components' images
+    rng = random.Random(11)
+    p = 4
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        q = rng.random()
+        G = build_graph(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < q])
+        for name, pred in MODEL_PREDICATES.items():
+            got = exists_small_model(G, p, pred)
+            exists = any(
+                pred(induced_subgraph(G, X)[0])
+                for k in range(1, p + 1)
+                for X in combinations(range(1, n + 1), k)
+            )
+            assert (got is not None) == exists, (name, G.edges)
+            if got is not None:
+                assert len(got) <= p and pred(induced_subgraph(G, got)[0]), (name, G.edges)
 
 
 def test_exists_small_model_limits():
