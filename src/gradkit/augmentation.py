@@ -52,6 +52,14 @@ as the reference.
 With drop_above = cap, candidates heavier than cap are discarded.  Arc
 weights are positive, so an arc of weight cap or more is no summand of
 any kept candidate and is skipped before its partners are read.
+
+Every row of every digraph in the trace begins with its arcs from the
+unit-weight orientation, in that orientation's order and of weight 1, and
+no later arc weighs 1.  A step keeps a row's old arcs first, in their old
+order, and every arc it adds or lowers gets a sum of two positive
+weights, which is at least 2.  DistanceIndex.query relies on this: it
+finds the weight-1 arcs of a row by reading it up to the first heavier
+arc.
 """
 
 from __future__ import annotations

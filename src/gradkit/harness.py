@@ -168,11 +168,18 @@ def _suite_augmentation() -> list[OracleReport]:
 
 def _suite_distance() -> list[OracleReport]:
     reports = []
-    cases = [("grid(4,5)", grid(4, 5)), ("cycle(9)", cycle(9)), ("path(8)", path(8))]
-    for name, G in cases:
-        for k in (1, 2, 3):
+    cases = [
+        ("grid(4,5)", grid(4, 5), (1, 2, 3)),
+        ("cycle(9)", cycle(9), (1, 2, 3)),
+        ("path(8)", path(8), (1, 2, 3)),
+        # direct arcs heavier than the distance, and pairs with no direct
+        # arc, so that queries take the weight-1 head scan and the full scan
+        ("random_regular(40,3,1)", random_regular(40, 3, 1), (3, 4)),
+    ]
+    for name, G, horizons in cases:
+        table = oracles.bfs_all_pairs(G)
+        for k in horizons:
             index = preprocess(G, k)
-            table = oracles.bfs_all_pairs(G)
             bad = 0
             for x in range(1, G.n + 1):
                 for y in range(1, G.n + 1):

@@ -278,6 +278,23 @@ def test_semi_naive_steps_match_naive_chain(G):
                 ) == stats
 
 
+@settings(deadline=None)
+@given(raw_graphs(max_n=30, max_m=60))
+def test_rows_begin_with_their_weight_1_orientation_arcs(G):
+    # DistanceIndex.query reads only this head of a row when the lighter
+    # direct arc weighs 3 or 4: the arcs of the unit-weight orientation,
+    # in its order and of weight 1, and no arc of weight 1 after them
+    first = orient(G)[0]
+    for d in (None, 1, 2, 3, 5):
+        for c in range(1, 5):
+            for dg in augment(G, c, drop_above=d).steps:
+                for v in range(1, G.n + 1):
+                    head = list(first.D[v])
+                    items = list(dg.D[v].items())
+                    assert items[: len(head)] == [(u, 1) for u in head], (d, c, v)
+                    assert all(w > 1 for _, w in items[len(head) :]), (d, c, v)
+
+
 def test_reverse_arc_takes_skipped_fraternity_weight():
     # The 6-cycle 1-4-2-6-3-5-1.  Arcs 5 -> 1 (weight 1) and 3 -> 1 (2)
     # are unchanged by step 2, so step 3 skips their fraternity pair {3, 5}

@@ -5,12 +5,15 @@ import threading
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradkit.core import build_graph
 from gradkit.distance import preprocess
 from gradkit.errors import DomainError, InputError
 from gradkit.generators import clique, cycle, grid, path, random_regular, subdivided_clique
 from gradkit.oracles import INF, bfs_all_pairs
+
+from conftest import raw_graphs
 
 CASES = [
     path(9),
@@ -58,6 +61,21 @@ def test_exhaustive_vs_bfs():
                     d = table[x][y]
                     want = d if d != INF and d <= k else None
                     assert index.query(x, y) == want, (G.n, k, x, y)
+
+
+@settings(deadline=None)
+@given(raw_graphs(max_n=14, max_m=30), st.integers(1, 6))
+def test_every_pair_matches_bfs(G, k):
+    # every branch of the query: direct arcs of weight 1 or 2, the weight-1
+    # head scan under a direct arc of 3 or 4 or none at k <= 3, and the
+    # full common in-neighbour scan otherwise
+    table = bfs_all_pairs(G)
+    index = preprocess(G, k)
+    for x in range(1, G.n + 1):
+        for y in range(1, G.n + 1):
+            d = table[x][y]
+            want = d if d != INF and d <= k else None
+            assert index.query(x, y) == want, (x, y)
 
 
 def test_symmetry():

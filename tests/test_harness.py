@@ -77,3 +77,12 @@ def test_run_suite():
     with pytest.raises(DomainError):
         run_suite("nope")
     assert set(SUITES) >= {"orientation", "distance", "patterns"}
+
+
+def test_distance_suite_includes_heavy_direct_arcs():
+    # random_regular(40, 3, 1) has direct arcs heavier than the distance
+    # and pairs with no direct arc, at k = 3 (head scan) and k = 4 (full scan)
+    reports = run_suite("distance")
+    assert reports and all(r.match for r in reports)
+    cubic = {r.test_id for r in reports if r.subject == "random_regular(40,3,1)"}
+    assert cubic == {"distance.k3", "distance.k4"}
