@@ -21,7 +21,7 @@ from .generators import FAMILIES, GeneratorSpec, lex_product_kc
 from .gradoracle import ball_family, evaluate_family, grad
 from .harness import run_suite
 from .orientation import orient
-from .patterns import check_restriction, count_isomorphs, list_isomorphs, make_pattern
+from .patterns import count_isomorphs, list_isomorphs, make_pattern
 from .separator import (
     Separator,
     parse_expansion,
@@ -32,19 +32,13 @@ from .separator import (
 from .treedepth import treedepth_decide, treedepth_exact
 
 
-def _out_stream(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
 def _emit(text: str, path: str | None) -> None:
-    stream, close = _out_stream(path)
-    try:
-        stream.write(text)
-    finally:
-        if close:
-            stream.close()
+    """Write text to the file at path, or to stdout for None or "-"."""
+    if path is None or path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _cmd_orient(args, cfg) -> int:
@@ -120,13 +114,9 @@ def _cmd_tdepth(args, cfg) -> int:
 
 def _cmd_count(args, cfg) -> int:
     G = textio.read_graph(args.input)
-    H = textio.read_graph(args.pattern)
-    pat = make_pattern(H, limit=cfg.pattern_limit)
+    pat = make_pattern(textio.read_graph(args.pattern), limit=cfg.pattern_limit)
     S = textio.read_vertex_set(args.restrict) if args.restrict else None
-    check_restriction(G, S)
-    col = low_tdepth_coloring(G, pat.graph.n + 1)
-    report = count_isomorphs(G, pat, S, coloring=col)
-    print(f"count {report.total}")
+    print(f"count {count_isomorphs(G, pat, S).total}")
     if args.list:
         for (verts, edges) in list_isomorphs(G, pat, S):
             vtxt = " ".join(str(v) for v in verts)

@@ -20,7 +20,7 @@ always-valid fallback, so termination is unconditional.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import Graph, bit_indices, connected_sets, local_adjacency, underlying_graph
 from .augmentation import augment
@@ -149,6 +149,17 @@ def color_classes(G: Graph, coloring: Coloring) -> tuple[list[int], list[list[in
     return used, classes, adjm
 
 
+def connected_unions(
+    classes: list[list[int]], adjm: list[int], k: int
+) -> Iterator[tuple[int, list[int]]]:
+    """(C, union of the classes of C) for every colour set C of at most k
+    colours that is connected in the quotient, once each; C is a mask over
+    the class indices of color_classes, and the union lists its classes in
+    index order, so it is not sorted."""
+    for C in connected_sets(adjm, k):
+        yield C, [v for i in bit_indices(C) for v in classes[i]]
+
+
 def certify_low_tdepth(G: Graph, coloring: Coloring, p: int) -> bool:
     """Check that every union of i <= p - 1 colour classes induces a
     subgraph of tree-depth at most i, at any size: each colour set C
@@ -158,8 +169,7 @@ def certify_low_tdepth(G: Graph, coloring: Coloring, p: int) -> bool:
     the union's order and degree sum."""
     colors = coloring.colors
     _, classes, adjm = color_classes(G, coloring)
-    for C in connected_sets(adjm, p - 1):
-        verts = [v for i in bit_indices(C) for v in classes[i]]
+    for _, verts in connected_unions(classes, adjm, p - 1):
         try:
             centered_parents(local_adjacency(G, verts), [0] + [colors[v] for v in verts])
         except NotCenteredError:

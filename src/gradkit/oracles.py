@@ -88,6 +88,16 @@ def brute_count_hitting(G: Graph, H: Graph, S: frozenset[int]) -> int:
     return sum(1 for (verts, _) in brute_copies(G, H) if any(v in S for v in verts))
 
 
+def brute_aut_count(H: Graph) -> int:
+    """|Aut(H)|: the permutations of V(H) that map every edge to an edge."""
+    edges = {frozenset(e) for e in H.edges}
+    count = 0
+    for perm in permutations(range(1, H.n + 1)):
+        if all(frozenset((perm[u - 1], perm[v - 1])) in edges for (u, v) in H.edges):
+            count += 1
+    return count
+
+
 def longest_path(G: Graph) -> int:
     """Order of the longest path in G (exponential: n <= ~14)."""
     if G.n == 0:

@@ -17,7 +17,8 @@ each embedding once over the whole host.  Model search runs the same
 enumerator with induced checks, over all n host vertices per component.
 
 "Copy" means a distinct subgraph of the host isomorphic to the pattern:
-injective homomorphisms divided by the pattern's automorphism count.
+injective homomorphisms divided by the pattern's automorphism count, which
+is the number of embeddings the enumerator finds of the pattern in itself.
 """
 
 from __future__ import annotations
@@ -27,16 +28,14 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Sequence
 
-from .coloring import Coloring, centered_parents, color_classes, low_tdepth_coloring
-from .core import (
-    Graph,
-    _check_vertex,
-    bit_indices,
-    build_graph,
-    connected_sets,
-    is_connected,
-    local_adjacency,
+from .coloring import (
+    Coloring,
+    centered_parents,
+    color_classes,
+    connected_unions,
+    low_tdepth_coloring,
 )
+from .core import Graph, _check_vertex, bit_indices, build_graph, is_connected, local_adjacency
 from .errors import DomainError, InputError, NotCenteredError, PatternError
 from .forests import TreeDecomposition, dfs_parents, validate_decomposition
 
@@ -51,15 +50,6 @@ class Pattern:
     aut_count: int
 
 
-def _automorphism_count(H: Graph) -> int:
-    edges = {frozenset(e) for e in H.edges}
-    count = 0
-    for perm in permutations(range(1, H.n + 1)):
-        if all(frozenset((perm[u - 1], perm[v - 1])) in edges for (u, v) in H.edges):
-            count += 1
-    return count
-
-
 def make_pattern(H: Graph, *, limit: int = DEFAULT_PATTERN_LIMIT) -> Pattern:
     """Wrap a connected pattern graph of order <= limit."""
     if H.n < 1:
@@ -68,7 +58,7 @@ def make_pattern(H: Graph, *, limit: int = DEFAULT_PATTERN_LIMIT) -> Pattern:
         raise PatternError(f"pattern order {H.n} exceeds the limit {limit}")
     if not is_connected(H):
         raise PatternError("disconnected patterns are not supported")
-    return Pattern(graph=H, aut_count=_automorphism_count(H))
+    return Pattern(graph=H, aut_count=sum(1 for _ in _embeddings(H.adj, H)))
 
 
 @dataclass
@@ -211,27 +201,11 @@ def count_on_decomposition(G_part: Graph, T: TreeDecomposition, H: Pattern | Gra
     return _copies(G_part.adj, events, pat)
 
 
-def _connected_unions(
-    classes: list[list[int]], adjm: list[int], h: int, S: frozenset[int] | None
-) -> Iterator[tuple[int, list[int]]]:
-    """(C, sorted union of the classes of C) for every colour set C of size
-    <= h that is connected in the quotient and whose union has at least h
-    vertices and meets S, if S is given; C is a mask over the class
-    indices of coloring.color_classes.  Every other colour set holds no copy
-    (meeting S)."""
-    for C in connected_sets(adjm, h):
-        verts = sorted(v for i in bit_indices(C) for v in classes[i])
-        if len(verts) < h:
-            continue
-        if S is not None and not any(v in S for v in verts):
-            continue
-        yield C, verts
-
-
 def _count_in_union(
     G: Graph, verts: list[int], colors: Sequence[int], pat: Pattern, induced: bool = False
 ) -> int:
-    """Count copies of pat (induced ones, with induced) in G[verts], sorted.
+    """Count copies of pat (induced ones, with induced) in G[verts], for
+    distinct vertices verts in any order; 0 when verts has fewer than h.
 
     The union's rows over local ids come from local_adjacency, its
     elimination forest from centered_parents on the colours, and the DP
@@ -263,7 +237,7 @@ def _contains(G: Graph, pat: Pattern, col: Coloring, induced: bool) -> bool:
     _, classes, adjm = color_classes(G, col)
     return any(
         _count_in_union(G, verts, col.colors, pat, induced)
-        for _, verts in _connected_unions(classes, adjm, pat.graph.n, None)
+        for _, verts in connected_unions(classes, adjm, pat.graph.n)
     )
 
 
@@ -280,16 +254,20 @@ def _exact_counts(
     proper subsets C' of C, run on colour-index masks; a disconnected
     colour set holds no copy and has no entry.  With S, each union that
     meets S contributes count(union) - count(union - S), the copies in it
-    that meet S.
+    that meet S.  A union with no copy has no entry: neither has any
+    colour set inside it.
     """
     used, classes, adjm = color_classes(G, col)
     colors = col.colors
     union_counts: dict[int, int] = {}
-    for C, verts in _connected_unions(classes, adjm, pat.graph.n, S):
+    for C, verts in connected_unions(classes, adjm, pat.graph.n):
+        if S is not None and S.isdisjoint(verts):
+            continue
         k = _count_in_union(G, verts, colors, pat)
         if S is not None:
             k -= _count_in_union(G, [v for v in verts if v not in S], colors, pat)
-        union_counts[C] = k
+        if k:
+            union_counts[C] = k
     exact: dict[int, int] = {}
     for C in sorted(union_counts, key=int.bit_count):
         k = union_counts[C]
@@ -301,7 +279,7 @@ def _exact_counts(
     return {frozenset(used[i] for i in bit_indices(C)): k for C, k in exact.items() if k}
 
 
-def check_restriction(G: Graph, S: frozenset[int] | None) -> None:
+def _check_restriction(G: Graph, S: frozenset[int] | None) -> None:
     """Raise InputError if S has a vertex outside 1..n."""
     for v in S or ():
         _check_vertex(v, G.n, "restriction set")
@@ -313,7 +291,7 @@ def _prepare(
     """The pattern and the host colouring, after checking S and the length
     of a given colouring."""
     pat = H if isinstance(H, Pattern) else make_pattern(H)
-    check_restriction(G, S)
+    _check_restriction(G, S)
     if coloring is None:
         return pat, low_tdepth_coloring(G, pat.graph.n + 1)
     if len(coloring.colors) != G.n + 1:
@@ -398,7 +376,7 @@ def list_isomorphs(
     1..n raise InputError.
     """
     pat = H if isinstance(H, Pattern) else make_pattern(H)
-    check_restriction(G, S)
+    _check_restriction(G, S)
     edges = pat.graph.edges
     found: set[Copy] = set()
     for img in _embeddings(G.adj, pat.graph):
@@ -477,7 +455,7 @@ def _iso_classes(p: int) -> tuple[Graph, ...]:
 
 
 def exists_small_model(G: Graph, p: int, pred) -> frozenset[int] | None:
-    """Witness X with |X| <= p and pred(G[X]), or None.
+    """Nonempty witness X with |X| <= p and pred(G[X]), or None.
 
     pred must be isomorphism-invariant: it is evaluated once per
     isomorphism class of graphs with at most p vertices, and each class

@@ -33,8 +33,8 @@ from fractions import Fraction
 from typing import Union
 
 from .core import Graph, connected_components, induced_radius, is_connected
-from .errors import DisconnectedError, DomainError, InputError
-from .gradoracle import evaluate_family
+from .errors import DisconnectedError, DomainError, InputError, InvalidFamilyError
+from .gradoracle import ball_family, evaluate_family
 
 DEFAULT_C1 = 4.0
 DEFAULT_MINOR_ATTEMPTS = 8
@@ -403,7 +403,10 @@ def validate(
     *,
     c1: float = DEFAULT_C1,
 ) -> bool:
-    """Re-check every certificate of the outcome against G, l and h."""
+    """Re-check every certificate of the outcome against G, l and h.
+
+    Branch sets are checked by ball_family: nonempty, inside 1..n,
+    disjoint and connected, with the radii it computes."""
     n = G.n
     log2n = math.log2(n) if n >= 2 else 0.0
     if isinstance(outcome, Separator):
@@ -419,19 +422,14 @@ def validate(
         return largest <= -(-2 * n // 3)
     if isinstance(outcome, MinorWitness):
         sets = outcome.branch_sets
-        if len(sets) != h or len(outcome.radii) != h:
+        if len(sets) != h:
             return False
-        seen: set[int] = set()
-        for b in sets:
-            if not b or any(not 1 <= v <= n for v in b):
-                return False
-            if seen & b:
-                return False
-            seen |= b
-        for i, b in enumerate(sets):
-            r = induced_radius(G, b)
-            if r is None or r > l * log2n or r != outcome.radii[i]:
-                return False
+        try:
+            fam = ball_family(G, sets)
+        except InvalidFamilyError:
+            return False
+        if fam.radii != tuple(outcome.radii) or fam.radius > l * log2n:
+            return False
         certified = dict(outcome.adjacency_edges)
         for i in range(len(sets)):
             for j in range(i + 1, len(sets)):

@@ -7,8 +7,7 @@ emit edges and arcs in ascending order so output files are stable.
 
 from __future__ import annotations
 
-import io
-from typing import IO, Iterable, TextIO
+from typing import IO, Iterable
 
 from .core import ArcListDigraph, Graph, build_digraph, build_graph
 from .errors import InputError
@@ -80,32 +79,20 @@ def _read_stream(stream: Iterable[str], weighted: bool):
     return build_graph(n, [(u, v) for (u, v, _) in rows])
 
 
-def write_graph(G: Graph, out: TextIO, comments: Iterable[str] = ()) -> None:
-    for c in comments:
-        out.write(f"# {c}\n")
-    out.write(f"{G.n} {G.m}\n")
-    for (u, v) in G.edges:
-        out.write(f"{u} {v}\n")
-
-
-def write_digraph(dg: ArcListDigraph, out: TextIO, comments: Iterable[str] = ()) -> None:
-    for c in comments:
-        out.write(f"# {c}\n")
-    out.write(f"{dg.n} {dg.m}\n")
-    for (u, v, w) in sorted(dg.arcs()):
-        out.write(f"{u} {v} {w}\n")
-
-
 def graph_to_text(G: Graph, comments: Iterable[str] = ()) -> str:
-    buf = io.StringIO()
-    write_graph(G, buf, comments)
-    return buf.getvalue()
+    """A graph file: comment lines, "n m", then the edges in G.edges order."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(f"{G.n} {G.m}")
+    lines += [f"{u} {v}" for (u, v) in G.edges]
+    return "\n".join(lines) + "\n"
 
 
 def digraph_to_text(dg: ArcListDigraph, comments: Iterable[str] = ()) -> str:
-    buf = io.StringIO()
-    write_digraph(dg, buf, comments)
-    return buf.getvalue()
+    """A digraph file: comment lines, "n m", then the arcs in ascending order."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(f"{dg.n} {dg.m}")
+    lines += [f"{u} {v} {w}" for (u, v, w) in sorted(dg.arcs())]
+    return "\n".join(lines) + "\n"
 
 
 def read_pairs(source: str | IO[str]) -> list[tuple[int, int]]:

@@ -130,7 +130,7 @@ def test_count_restricted(tmp_path, capsys):
 
 
 def test_count_restricted_out_of_range_exit_2(tmp_path, capsys, monkeypatch):
-    import gradkit.cli as cli
+    import gradkit.patterns as patterns
 
     g = tmp_path / "p4.txt"
     g.write_text(textio.graph_to_text(path(4)))
@@ -142,13 +142,13 @@ def test_count_restricted_out_of_range_exit_2(tmp_path, capsys, monkeypatch):
     def coloring(*a, **kw):
         raise AssertionError("S must be checked before the host is coloured")
 
-    monkeypatch.setattr(cli, "low_tdepth_coloring", coloring)
+    monkeypatch.setattr(patterns, "low_tdepth_coloring", coloring)
     assert main(["count", str(g), "--pattern", str(pat), "--restrict", str(s)]) == 2
     assert "out of range" in capsys.readouterr().err
 
 
 def test_count_colours_once(tmp_path, capsys, monkeypatch):
-    import gradkit.cli as cli
+    import gradkit.patterns as patterns
 
     g = tmp_path / "grid.txt"
     g.write_text(textio.graph_to_text(grid(3, 4)))
@@ -162,7 +162,7 @@ def test_count_colours_once(tmp_path, capsys, monkeypatch):
         calls.append((p, kw))
         return low_tdepth_coloring(G, p, **kw)
 
-    monkeypatch.setattr(cli, "low_tdepth_coloring", coloring)
+    monkeypatch.setattr(patterns, "low_tdepth_coloring", coloring)
     argv = ["count", str(g), "--pattern", str(pat), "--list"]
     assert main(argv + ["--restrict", str(s)]) == 0
     assert calls == [(4, {})]

@@ -191,12 +191,14 @@ def test_centered_parents_matches_per_root_reference(G, data):
 def test_centered_to_forest_grows_linearly_on_ruler_paths():
     # one root per component and a stamp per search, not one components
     # pass per root: n log n on a ruler-coloured path (log n levels)
+    # three sizes at best of 7 each, so that one burst of load on one size
+    # does not decide the fitted exponent
     points = []
-    for bits in (12, 14):
+    for bits in (12, 13, 14):
         n = 1 << bits
         P, ruler = path(n), ruler_coloring(n, bits + 1)
         best = float("inf")
-        for _ in range(3):
+        for _ in range(7):
             t = time.perf_counter()
             F = centered_to_forest(P, ruler)
             best = min(best, time.perf_counter() - t)

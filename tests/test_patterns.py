@@ -16,6 +16,7 @@ from gradkit.errors import DomainError, InputError, PatternError
 from gradkit.forests import TreeDecomposition, dfs_forest, forest_to_decomposition
 from gradkit.generators import clique, cycle, grid, path, random_regular, star, subdivided_clique
 from gradkit.oracles import (
+    brute_aut_count,
     brute_copies,
     brute_count,
     brute_count_hitting,
@@ -26,6 +27,7 @@ from gradkit.oracles import (
 from gradkit import patterns
 from gradkit.patterns import (
     _embeddings,
+    _iso_classes,
     count_isomorphs,
     count_on_decomposition,
     decide_containment,
@@ -66,6 +68,16 @@ def test_make_pattern_validates():
         make_pattern(clique(6))  # too large
     with pytest.raises(PatternError):
         make_pattern(build_graph(0, []))
+
+
+def test_automorphism_count_matches_permutation_search():
+    # the enumerator's self-embeddings against the permutation oracle on
+    # every graph of at most 5 vertices; make_pattern takes connected ones
+    for M in _iso_classes(5):
+        aut = brute_aut_count(M)
+        assert sum(1 for _ in _embeddings(M.adj, M)) == aut, M.edges
+        if is_connected(M):
+            assert make_pattern(M).aut_count == aut, M.edges
 
 
 def test_count_examples():

@@ -265,6 +265,26 @@ def test_validate_negatives():
     )
     K4_minus = build_graph(4, [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)])
     assert not validate(K4_minus, discon, 1, 3)
+    # an empty branch set
+    empty = MinorWitness(
+        branch_sets=(frozenset(), frozenset({2}), frozenset({3})),
+        radii=(0, 0, 0),
+        adjacency_edges=w.adjacency_edges,
+    )
+    assert not validate(K4, empty, 1, 3)
+    # a vertex outside 1..n
+    outside = MinorWitness(
+        branch_sets=(frozenset({1}), frozenset({2}), frozenset({3, 9})),
+        radii=(0, 0, 1),
+        adjacency_edges=w.adjacency_edges,
+    )
+    assert not validate(K4, outside, 1, 3)
+    # radii of the right length, one of them wrong
+    assert not validate(K4, MinorWitness(w.branch_sets, (0, 1, 0), w.adjacency_edges), 1, 3)
+    # a branch set of radius 4 on path(9): above l * log2(9) = 3.17 at l = 1
+    long = MinorWitness((frozenset(range(1, 10)),), (4,), ())
+    assert not validate(path(9), long, 1, 1)
+    assert validate(path(9), long, 2, 1)
 
 
 def test_choose_z_example():
