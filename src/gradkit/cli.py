@@ -116,12 +116,16 @@ def _cmd_count(args, cfg) -> int:
     G = textio.read_graph(args.input)
     pat = make_pattern(textio.read_graph(args.pattern), limit=cfg.pattern_limit)
     S = textio.read_vertex_set(args.restrict) if args.restrict else None
-    print(f"count {count_isomorphs(G, pat, S).total}")
-    if args.list:
-        for (verts, edges) in list_isomorphs(G, pat, S):
-            vtxt = " ".join(str(v) for v in verts)
-            etxt = " ".join("-".join(str(x) for x in sorted(e)) for e in sorted(edges, key=sorted))
-            print(f"{vtxt} ; {etxt}")
+    if not args.list:
+        print(f"count {count_isomorphs(G, pat, S).total}")
+        return 0
+    # the listing holds each copy once, so its length is the count
+    copies = list_isomorphs(G, pat, S)
+    print(f"count {len(copies)}")
+    for (verts, edges) in copies:
+        vtxt = " ".join(str(v) for v in verts)
+        etxt = " ".join("-".join(str(x) for x in sorted(e)) for e in sorted(edges, key=sorted))
+        print(f"{vtxt} ; {etxt}")
     return 0
 
 

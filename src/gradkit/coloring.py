@@ -166,10 +166,19 @@ def certify_low_tdepth(G: Graph, coloring: Coloring, p: int) -> bool:
     connected in the quotient (a disconnected one induces the disjoint
     union of its parts) must yield a centered_parents forest, of height
     <= |C|.  p-centered colourings pass.  One forest per set, linear in
-    the union's order and degree sum."""
+    the union's order and degree sum.
+
+    A union of at most |C| vertices gets no forest: each of its classes
+    is then one vertex, so all its colours are distinct, which makes it
+    centered with tree-depth at most |C|, and the forest could not fail.
+    When every class is one vertex, no set needs a forest."""
     colors = coloring.colors
-    _, classes, adjm = color_classes(G, coloring)
-    for _, verts in connected_unions(classes, adjm, p - 1):
+    used, classes, adjm = color_classes(G, coloring)
+    if len(used) == G.n:
+        return True
+    for C, verts in connected_unions(classes, adjm, p - 1):
+        if len(verts) <= C.bit_count():
+            continue
         try:
             centered_parents(local_adjacency(G, verts), [0] + [colors[v] for v in verts])
         except NotCenteredError:

@@ -163,12 +163,18 @@ def test_count_colours_once(tmp_path, capsys, monkeypatch):
         return low_tdepth_coloring(G, p, **kw)
 
     monkeypatch.setattr(patterns, "low_tdepth_coloring", coloring)
-    argv = ["count", str(g), "--pattern", str(pat), "--list"]
-    assert main(argv + ["--restrict", str(s)]) == 0
+    argv = ["count", str(g), "--pattern", str(pat), "--restrict", str(s)]
+    total = brute_count_hitting(grid(3, 4), path(3), frozenset({1, 6}))
+    assert main(argv) == 0
     assert calls == [(4, {})]
+    assert capsys.readouterr().out == f"count {total}\n"
+    # the listing needs no colouring, and its length is the count line
+    calls.clear()
+    assert main(argv + ["--list"]) == 0
+    assert calls == []
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == f"count {len(lines) - 1}"
-    assert len(lines) - 1 == brute_count_hitting(grid(3, 4), path(3), frozenset({1, 6}))
+    assert lines[0] == f"count {total}"
+    assert len(lines) - 1 == total
 
 
 def test_separator_with_cert(tmp_path, capsys):

@@ -109,6 +109,42 @@ def test_certificate_between_p_centered_and_exhaustive(G, data):
         assert brute_low_tdepth(G, col, p)
 
 
+@settings(max_examples=200, deadline=None)
+@given(raw_graphs(max_n=9, max_m=20), st.data())
+def test_all_distinct_colourings_are_centered_and_certified(G, data):
+    # the premise of the certificate's singleton rule, against the oracle
+    perm = data.draw(st.permutations(range(1, G.n + 1)))
+    col = Coloring((0, *perm), G.n)
+    assert is_centered(G, col)
+    for p in range(2, 6):
+        assert certify_low_tdepth(G, col, p)
+
+
+def test_certificate_builds_forests_only_where_a_colour_repeats(monkeypatch):
+    import gradkit.coloring as coloring
+
+    built = []
+
+    def counted(adj, colors):
+        built.append(frozenset(colors[1:]))
+        return centered_parents(adj, colors)
+
+    monkeypatch.setattr(coloring, "centered_parents", counted)
+    G = grid(20, 20)
+    assert certify_low_tdepth(G, Coloring((0,) + tuple(range(1, 401)), 400), 6)
+    assert built == []
+    P = path(5)
+    col = Coloring((0, 1, 2, 3, 4, 1), 4)
+    assert certify_low_tdepth(P, col, 3) and brute_low_tdepth(P, col, 3)
+    # of the 8 connected colour sets of at most 2 colours, only those
+    # holding colour 1, the class of two vertices, need a forest
+    assert sorted(built, key=sorted) == [{1}, {1, 2}, {1, 4}]
+    built.clear()
+    col = Coloring((0, 1, 2, 1, 2, 3), 3)
+    assert not certify_low_tdepth(P, col, 3) and not brute_low_tdepth(P, col, 3)
+    assert built[-1] == {1, 2}  # P4 on colours 1, 2 has tree-depth 3
+
+
 def test_centered_to_forest_p3():
     F = centered_to_forest(path(3), Coloring((0, 1, 2, 1), 2))
     assert F.parent == (0, 2, 0, 2)
