@@ -28,21 +28,21 @@ with per-step counters.  Steps share rows: a row that a step does not
 change is the same dict object in both digraphs, and a step copies a row
 only when it first writes to it.
 
-Steps are evaluated semi-naively.  Besides its digraph, a step reports
-its delta: per row, the arcs it added or whose weight it lowered, in row
-order (a row that is mostly new arcs counts as changed as a whole).  The
-next step generates a transitivity candidate x -> u -> v only if x -> u
-or u -> v is in the delta, and a fraternity pair x, y at v only if
-x -> v or y -> v is; the first step is full.  A skipped candidate is
-built from two arcs that the step before already had, with the same
-weights, so that step generated it too: transitivity left an arc x -> v
-no heavier than the candidate, and fraternity left every arc between x
-and y no heavier than the pair.  Generating it again changes nothing,
-with one exception, the reverse-arc correction.  When this step's
-transitivity adds an arc y -> x whose reverse x -> y is already there,
-the full step lowers the new arc to the fraternity minimum over every
-common head of x and y, skipped pairs included.  So for each such arc
-heavier than its reverse (a skipped pair weighs at least the reverse
+Steps are evaluated semi-naively.  After each step, augment computes
+its delta: per row, the sources of the arcs the step added or whose
+weight it lowered, as a tuple in row order; the weights are read from
+the row.  The next step generates a transitivity candidate x -> u -> v
+only if x -> u or u -> v is in the delta, and a fraternity pair x, y at
+v only if x -> v or y -> v is; the first step is full.  A skipped
+candidate is built from two arcs that the step before already had, with
+the same weights, so that step generated it too: transitivity left an
+arc x -> v no heavier than the candidate, and fraternity left every arc
+between x and y no heavier than the pair.  Generating it again changes
+nothing, with one exception, the reverse-arc correction.  When this
+step's transitivity adds an arc y -> x whose reverse x -> y is already
+there, the full step lowers the new arc to the fraternity minimum over
+every common head of x and y, skipped pairs included.  So for each such
+arc heavier than its reverse (a skipped pair weighs at least the reverse
 arc), the pairs at heads where both arcs are unchanged are gathered
 again.  Candidates are visited in the full step's order, so new arcs
 enter each row in the same order and every digraph is exactly the one
@@ -51,28 +51,38 @@ as the reference.
 
 With drop_above = cap, candidates heavier than cap are discarded.  Arc
 weights are positive, so an arc of weight cap or more is no summand of
-any kept candidate and is skipped before its partners are read.
+any kept candidate: it is skipped before its partners are read, and the
+delta leaves it out.  A step whose delta lists no arc can add none and
+is not run; under the cap 4, the fourth step on a grid is one.  The
+weights bound two more loops.  An arc u -> v
+of weight cap - 1 pairs only with the weight-1 head of old[u] (see
+below), so its walk stops at the first heavier arc.  At a head v, an
+unchanged arc heavier than cap minus the lightest changed arc pairs with
+no changed arc, and is left out of v's fraternity pairs.  Without a cap,
+a row that is mostly new arcs is its own delta: every arc counts as
+changed, which only adds candidates that change nothing, and saves
+comparing the row entry by entry.
 
 Every row of every digraph in the trace begins with its arcs from the
 unit-weight orientation, in that orientation's order and of weight 1, and
 no later arc weighs 1.  A step keeps a row's old arcs first, in their old
 order, and every arc it adds or lowers gets a sum of two positive
-weights, which is at least 2.  DistanceIndex.query relies on this: it
-finds the weight-1 arcs of a row by reading it up to the first heavier
-arc.
+weights, which is at least 2.  DistanceIndex.query and the capped
+transitivity walk rely on this: they find the weight-1 arcs of a row by
+reading it up to the first heavier arc.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .core import ArcListDigraph, Graph
 from .errors import DomainError
 from .orientation import degeneracy_order, orient
 
-_UNCHANGED: dict[int, int] = {}  # the delta of a row a step did not touch
+_UNCHANGED: tuple[int, ...] = ()  # the delta of a row a step did not touch
 
 
 @dataclass(frozen=True)
@@ -82,37 +92,41 @@ class StepStats:
     fraternity_delta_max: int
 
 
-def _delta(old: Sequence[dict[int, int]], rows: list[dict[int, int]]) -> list[dict[int, int]]:
-    """Per row, the arcs of rows that are not in old with the same weight.
+def _delta(
+    old: Sequence[dict[int, int]], rows: Sequence[dict[int, int]], drop_above: int | None
+) -> list[Collection[int]]:
+    """Per row, the sources of the arcs of rows not in old with the same weight.
 
-    An untouched row gets _UNCHANGED.  A row that is mostly new arcs is
-    its own delta: every arc counts as changed, which only adds candidates
-    that change nothing, and saves comparing the row entry by entry.
+    Each entry lists sources in row order; the weights are read from the
+    row.  An untouched row gets _UNCHANGED.  With drop_above, arcs of that
+    weight or more are left out: they are no summand of any candidate the
+    next step keeps.  Without it, a row that is mostly new arcs is its own
+    delta: every arc counts as changed, which only adds candidates that
+    change nothing, and saves comparing the row entry by entry.
     """
-    out: list[dict[int, int]] = []
+    cap = math.inf if drop_above is None else drop_above
+    out: list[Collection[int]] = []
     for row, orow in zip(rows, old):
         if row is orow:
             out.append(_UNCHANGED)
-        elif 2 * len(orow) < len(row):
+        elif drop_above is None and 2 * len(orow) < len(row):
             out.append(row)
         else:
-            out.append({x: w for x, w in row.items() if orow.get(x) != w})
+            out.append(tuple([x for x, w in row.items() if w < cap and orow.get(x) != w]))
     return out
 
 
 def _step(
     dg: ArcListDigraph,
-    changed: Sequence[dict[int, int]],
+    changed: Sequence[Collection[int]],
     drop_above: int | None,
-    *,
-    track: bool = True,
-) -> tuple[ArcListDigraph, StepStats, list[dict[int, int]] | None]:
+) -> tuple[ArcListDigraph, StepStats]:
     """One step from dg, given the delta changed of the step that built it.
 
-    changed[v] holds the arcs into v added or lowered by that step, in row
-    order; pass dg.D itself for a full step.  Returns the new digraph, its
-    counters and, when track is set, the delta of this step.  The rows of
-    the result list the arcs of dg first, in their old order, then the new
+    changed[v] lists, in row order, the sources of the arcs into v that
+    that step added or lowered (see _delta); pass dg.D itself for a full
+    step.  Returns the new digraph and its counters.  The rows of the
+    result list the arcs of dg first, in their old order, then the new
     arcs in the order they were found.  When nothing changes, dg itself
     is returned.
     """
@@ -123,20 +137,35 @@ def _step(
 
     # transitivity candidates x -> u -> v with u -> v or x -> u changed,
     # min-merged on the fly; a new arc heavier than its old reverse arc is
-    # flagged for the reverse-arc correction
+    # flagged for the reverse-arc correction.  The delta of a row is a
+    # subsequence of it, so one pointer walks it alongside the row.  When
+    # u -> v weighs cap - 1, only a partner of weight 1 is kept; those
+    # come first in old[u] and in its delta, so the walk stops at the
+    # first heavier one.
     trans_added = 0
     flagged: list[tuple[int, int]] = []
     for v in range(1, n + 1):
         ov = old[v]
-        dv = changed[v]
         row = ov
+        marks = iter(changed[v])
+        mark = next(marks, None)
         for u, w1 in ov.items():
-            if w1 >= cap:
+            if u == mark:
+                mark = next(marks, None)
+                src: Collection[int] = old[u]
+            else:
+                src = changed[u]
+            if w1 >= cap or not src:
                 continue
-            src = old[u] if u in dv else changed[u]
-            for x, w2 in src.items():
-                w = w1 + w2
-                if w > cap or x == v:
+            ou = old[u]
+            head = w1 + 1 >= cap
+            for x in src:
+                w = w1 + ou[x]
+                if w > cap:
+                    if head:
+                        break
+                    continue
+                if x == v:
                     continue
                 cur = row.get(x)
                 if cur is None:
@@ -154,20 +183,23 @@ def _step(
 
     # fraternity candidates with at least one changed arc.  The changed
     # arcs of a row come first in entries, and each pair with one of them
-    # is visited once.  Only the leftover arcs added last insert arcs, so
-    # whether a pair is joined after transitivity stays fixed: a joined
-    # pair lowers its arcs in place, and an unjoined one is tabled with
-    # its minimum weight in left[x][y], x < y.
+    # is visited once.  An unchanged arc heavier than cap minus the
+    # lightest changed one pairs with none of them, and is left out.  Only
+    # the leftover arcs added last insert arcs, so whether a pair is
+    # joined after transitivity stays fixed: a joined pair lowers its arcs
+    # in place, and an unjoined one is tabled with its minimum weight in
+    # left[x][y], x < y.  Both take minima, so the visiting order is free.
     left: dict[int, dict[int, int]] = {}
     for v in range(1, n + 1):
         dv = changed[v]
         if not dv:
             continue
         ov = old[v]
-        fresh = [(x, w) for x, w in dv.items() if w < cap]
+        fresh = [(x, ov[x]) for x in dv]
         entries = fresh
         if dv is not ov:
-            entries = fresh + [(x, w) for x, w in ov.items() if w < cap and x not in dv]
+            floor = cap - min([w for _, w in fresh])
+            entries = fresh + [(x, w) for x, w in ov.items() if w <= floor and x not in dv]
         for i, (x, wx) in enumerate(fresh):
             rx = rows[x]
             for y, wy in entries[i + 1 :]:
@@ -254,14 +286,14 @@ def _step(
 
     stats = StepStats(trans_added, n_left, frat_delta_max)
     if all(row is orow for row, orow in zip(rows, old)):
-        return dg, stats, [_UNCHANGED] * (n + 1) if track else None
+        return dg, stats
     new = ArcListDigraph(
         n=n,
         m=sum(len(row) for row in rows),
         D=tuple(rows),
         md=max((len(row) for row in rows), default=0),
     )
-    return new, stats, _delta(old, rows) if track else None
+    return new, stats
 
 
 @dataclass(frozen=True)
@@ -291,8 +323,10 @@ def augment(G: Graph, c: int, *, drop_above: int | None = None) -> AugmentationT
     heavier than the given bound outright; the distance module explains
     why that cannot change any of its answers.  The first step is full;
     each later one reads the delta of the step before (see the module
-    docstring).  Once a step changes nothing, so does every later one,
-    and the remaining entries repeat its digraph with zero counters.
+    docstring), which with drop_above lists only arcs lighter than the
+    bound.  A step runs only when that delta lists an arc: otherwise it
+    could add or lower none, nor could any later step, and the remaining
+    entries repeat the last digraph with zero counters.
     """
     if isinstance(c, bool) or not isinstance(c, int) or c < 1:
         raise DomainError(f"step count must be an int >= 1, got {c!r}")
@@ -301,13 +335,15 @@ def augment(G: Graph, c: int, *, drop_above: int | None = None) -> AugmentationT
     t_added: list[int] = []
     f_added: list[int] = []
     f_delta: list[int] = []
-    changed: Sequence[dict[int, int]] = first.D
+    changed: Sequence[Collection[int]] = first.D
     for i in range(c):
         dg = steps[-1]
-        if not any(changed):
-            nxt, stats = dg, StepStats(0, 0, 0)
-        else:
-            nxt, stats, changed = _step(dg, changed, drop_above, track=i < c - 1)
+        nxt, stats = dg, StepStats(0, 0, 0)
+        if any(changed):
+            nxt, stats = _step(dg, changed, drop_above)
+            changed = ()  # released before the next delta is built
+            if i < c - 1:
+                changed = _delta(dg.D, nxt.D, drop_above)
         steps.append(nxt)
         t_added.append(stats.transitivity_added)
         f_added.append(stats.fraternity_added)

@@ -3,8 +3,10 @@ import hashlib
 import pytest
 from hypothesis import example, given, settings
 
-from gradkit.augmentation import StepStats, _step, augment
+from gradkit import augmentation
+from gradkit.augmentation import StepStats, _delta, _step, augment
 from gradkit.core import build_digraph, build_graph, underlying_graph
+from gradkit.distance import preprocess
 from gradkit.errors import DomainError
 from gradkit.generators import clique, cycle, grid, path, random_regular, star
 from gradkit.gradoracle import grad
@@ -56,14 +58,14 @@ def test_fraternity_duplicates_kept():
 
 def test_step_directed_path():
     dg = build_digraph(3, [(1, 2), (2, 3)])
-    out, _, _ = _step(dg, dg.D, None)
+    out, _ = _step(dg, dg.D, None)
     arcs = {(u, v): w for (u, v, w) in out.arcs()}
     assert arcs == {(1, 2): 1, (2, 3): 1, (1, 3): 2}
 
 
 def test_step_fraternity_one_direction():
     dg = build_digraph(3, [(1, 3), (2, 3)])
-    out, _, _ = _step(dg, dg.D, None)
+    out, _ = _step(dg, dg.D, None)
     arcs = {(u, v): w for (u, v, w) in out.arcs()}
     assert arcs.get((1, 3)) == 1 and arcs.get((2, 3)) == 1
     assert ((1, 2) in arcs) != ((2, 1) in arcs)
@@ -73,7 +75,7 @@ def test_step_fraternity_one_direction():
 
 def test_step_arcless_identity():
     dg = build_digraph(4, [])
-    out, _, _ = _step(dg, dg.D, None)
+    out, _ = _step(dg, dg.D, None)
     assert out.m == 0
 
 
@@ -261,7 +263,7 @@ def test_semi_naive_steps_match_naive_chain(G):
     # every row of every step, in order and weight, and every counter, must
     # be what the full step of gradkit.oracles builds from the previous
     # naive digraph
-    for d in (None, 1, 2, 3, 5):
+    for d in (None, 1, 2, 3, 4, 5):
         for c in range(1, 6):
             trace = augment(G, c, drop_above=d)
             dg = orient(G)[0]
@@ -314,21 +316,58 @@ def test_reverse_arc_takes_skipped_fraternity_weight():
 
 
 def test_step_reports_its_delta():
-    # each delta row lists, in row order and with the new weights, every
-    # arc the step added or lowered; it may list unchanged arcs as well
-    for G in SAMPLE:
-        dg = orient(G)[0]
-        changed = dg.D
-        for _ in range(3):
-            out, _, delta = _step(dg, changed, None)
-            for v in range(1, dg.n + 1):
-                new = list(out.D[v].items())
-                assert [e for e in new if e in delta[v].items()] == list(delta[v].items())
-                assert all(x in delta[v] for x, w in new if dg.D[v].get(x) != w)
-            dg, changed = out, delta
+    # each delta row lists, in row order, the sources of the arcs the step
+    # added or lowered.  Without a cap it may list unchanged arcs as well;
+    # with drop_above = d it lists exactly the added or lowered arcs
+    # lighter than d, since an arc of weight d or more is no summand.
+    for d in (None, 2, 3, 4):
+        for G in SAMPLE:
+            dg = orient(G)[0]
+            changed = dg.D
+            for _ in range(3):
+                out, _ = _step(dg, changed, d)
+                delta = _delta(dg.D, out.D, d)
+                for v in range(1, dg.n + 1):
+                    row, listed = out.D[v], list(delta[v])
+                    assert [x for x in row if x in listed] == listed, (d, v)
+                    fresh = [x for x, w in row.items() if dg.D[v].get(x) != w]
+                    if d is None:
+                        assert all(x in listed for x in fresh), v
+                    else:
+                        assert all(x in listed for x in fresh if row[x] < d), (d, v)
+                        assert all(row[x] < d and x in fresh for x in listed), (d, v)
+                dg, changed = out, delta
     # from a delta with no arcs, nothing changes and dg itself comes back
-    same, stats, delta = _step(dg, [{}] * (dg.n + 1), None)
-    assert same is dg and stats == StepStats(0, 0, 0) and not any(delta)
+    same, stats = _step(dg, [()] * (dg.n + 1), None)
+    assert same is dg and stats == StepStats(0, 0, 0)
+    assert not any(_delta(dg.D, same.D, None))
+
+
+def test_a_step_that_cannot_add_an_arc_is_not_run(monkeypatch):
+    # under the cap 4, step 3 of grid 20 x 20 changes only arcs of weight 4,
+    # which are no summand of a kept candidate, so step 4 is not run; its
+    # trace entry repeats step 3's digraph with zero counters
+    calls = []
+    real = augmentation._step
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(augmentation, "_step", counting)
+    preprocess(grid(20, 20), 4)
+    assert len(calls) == 3
+    calls.clear()
+    trace = augment(grid(20, 20), 4, drop_above=4)
+    assert len(calls) == 3 and len(trace.steps) == 5
+    assert trace.steps[4] is trace.steps[3]
+    assert trace.transitivity_added[3] == trace.fraternity_added[3] == 0
+    assert trace.fraternity_delta_max[3] == 0
+    # without a cap, a step runs until one changes nothing
+    for c, runs in ((4, 4), (8, 6)):
+        calls.clear()
+        augment(grid(6, 6), c)
+        assert len(calls) == runs, c
 
 
 def test_unchanged_rows_are_shared_between_steps():

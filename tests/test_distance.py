@@ -158,7 +158,8 @@ def test_preprocess_peak_memory_tracks_the_index():
     # trace keeps every step, so the ratio cannot reach 1; the gate bounds
     # what one step holds besides its rows (3.58 when joined fraternity
     # pairs were tabled and leftover pairs were oriented through a Graph and
-    # a throwaway digraph, 2.65 without those, on CPython 3.11).
+    # a throwaway digraph, 2.65 without those, 2.76 with deltas that list
+    # the sources of the arcs lighter than the cap, on CPython 3.11).
     G = grid(60, 60)
     gc.collect()
     tracemalloc.start()
