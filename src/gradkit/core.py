@@ -171,15 +171,19 @@ def local_adjacency(G: Graph, ids: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 def connected_components(G: Graph, within: Iterable[int] | None = None) -> list[list[int]]:
-    """Connected components (sorted vertex lists) of G, or of G[within]."""
+    """Connected components (sorted vertex lists) of G, or of G[within].
+
+    Every vertex of within must lie in 1..n (InputError otherwise)."""
     if within is None:
         alive = [True] * (G.n + 1)
         universe: Iterable[int] = range(1, G.n + 1)
     else:
         alive = [False] * (G.n + 1)
-        universe = sorted(set(within))
-        for v in universe:
+        chosen = set(within)
+        for v in chosen:
+            _check_vertex(v, G.n, "connected_components")
             alive[v] = True
+        universe = sorted(chosen)
     seen = [False] * (G.n + 1)
     comps: list[list[int]] = []
     for s in universe:

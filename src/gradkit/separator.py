@@ -6,10 +6,13 @@ sets, pairwise joined by an edge, each of radius at most the depth budget
 (grown as pruned BFS trees reaching a neighbour of every earlier set).
 A new set can reach an earlier one only through an unused vertex next to
 it, so the search gives up as soon as some set has none left (it is
-sealed), without trying another start.  When the greedy assembly stalls
-it falls back to a separator built by ball growing: grow a breadth-first
-ball until a layer is small relative to the ball (the layer goes into the
-separator), and when no small layer exists before the component is
+sealed), without trying another start.  Each unused vertex next to a
+set keeps a touch list, its (set index, neighbour) pairs in G.adj order,
+rebuilt for the neighbours of each new set, so the BFS reads a reached
+vertex's touch list, empty for almost every vertex, and not its row.
+When the greedy assembly stalls it falls back to a separator built by
+ball growing: grow a breadth-first ball until a layer is small relative
+to the ball (the layer goes into the separator), and when no small layer exists before the component is
 engulfed, cut its thinnest layer, the one nearest the middle among
 equally thin ones.  That cut need not balance the sides (layer 0 is
 always a thinnest layer), so a side left with more than ceil(2n/3)
@@ -22,7 +25,10 @@ component fraction comes from the sizes ball growing counts as it cuts,
 without another search of G - S.
 
 Both outcomes carry machine-checkable certificates; validate() re-checks
-them from scratch.
+them from scratch.  For a separator it needs only the size of the largest
+component of G - S, so it marks S dead and counts one search from each
+live vertex, with no component lists and no helper shared with ball
+growing.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .core import Graph, connected_components, induced_radius, is_connected
+from .core import Graph, induced_radius, is_connected
 from .errors import DisconnectedError, DomainError, InputError, InvalidFamilyError
 from .gradoracle import ball_family, evaluate_family
 
@@ -69,39 +75,41 @@ def _attach_bfs(
     G: Graph,
     start: int,
     used: list[bool],
-    node_id: list[int],
+    touch: list[tuple[tuple[int, int], ...]],
     budget: int,
     targets: int,
 ) -> tuple[set[int], dict[int, tuple[int, int]]] | None:
     """Grow a BFS tree from start through unused vertices, up to the depth
     budget, until it touches a neighbour of every existing branch set.
 
-    Returns (branch set, {set index: certifying edge}) built from the
-    union of the tree paths to the first touch points, or None.
+    touch[v] lists the (set index, neighbour) pairs of an unused v in
+    G.adj[v] order.  Returns (branch set, {set index: certifying edge})
+    built from the union of the tree paths to the first touch points, or
+    None.
     """
+    adj = G.adj
     attach: dict[int, tuple[int, int]] = {}
-
-    def scan(v: int) -> None:
-        for w in G.adj[v]:
-            i = node_id[w]
-            if i >= 0 and i not in attach:
-                attach[i] = (v, w)
-
-    parent = {start: 0}
-    scan(start)
+    for i, x in touch[start]:
+        if i not in attach:
+            attach[i] = (start, x)
+    parent = [0] * (G.n + 1)
+    parent[start] = start
     frontier = [start]
     depth = 0
     while len(attach) < targets and frontier and depth < budget:
         depth += 1
         nxt = []
         for v in frontier:
-            for w in G.adj[v]:
-                if not used[w] and w not in parent:
+            for w in adj[v]:
+                if not used[w] and not parent[w]:
                     parent[w] = v
-                    scan(w)
                     nxt.append(w)
-                    if len(attach) == targets:
-                        break
+                    if touch[w]:
+                        for i, x in touch[w]:
+                            if i not in attach:
+                                attach[i] = (w, x)
+                        if len(attach) == targets:
+                            break
             if len(attach) == targets:
                 break
         frontier = nxt
@@ -124,8 +132,10 @@ def _greedy_minor(
     G: Graph, h: int, budget: int, attempts: int
 ) -> tuple[list[set[int]], dict[tuple[int, int], tuple[int, int]]] | None:
     n = G.n
+    adj = G.adj
     used = [False] * (n + 1)
     node_id = [-1] * (n + 1)
+    touch: list[tuple[tuple[int, int], ...]] = [()] * (n + 1)
     nodes: list[set[int]] = []
     pair_edges: dict[tuple[int, int], tuple[int, int]] = {}
     while len(nodes) < h:
@@ -137,7 +147,7 @@ def _greedy_minor(
             tried += 1
             if tried > attempts:
                 break
-            got = _attach_bfs(G, start, used, node_id, budget, len(nodes))
+            got = _attach_bfs(G, start, used, touch, budget, len(nodes))
             if got is None:
                 continue
             branch, attach = got
@@ -146,6 +156,9 @@ def _greedy_minor(
             for v in branch:
                 used[v] = True
                 node_id[v] = idx
+            # only the unused neighbours of the new set gain a touch
+            for v in {w for u in branch for w in adj[u] if not used[w]}:
+                touch[v] = tuple((node_id[w], w) for w in adj[v] if node_id[w] >= 0)
             for i, (inside, outside) in attach.items():
                 # certificate edge oriented (vertex of set i, vertex of set idx)
                 pair_edges[(i, idx)] = (outside, inside)
@@ -155,7 +168,7 @@ def _greedy_minor(
             return None
         # _attach_bfs reaches set i only from an unused vertex next to it, so
         # once a set has none, every later attempt fails
-        if len(nodes) < h and any(_sealed(G.adj, used, b) for b in nodes):
+        if len(nodes) < h and any(_sealed(adj, used, b) for b in nodes):
             return None
     return nodes, pair_edges
 
@@ -405,8 +418,11 @@ def validate(
 ) -> bool:
     """Re-check every certificate of the outcome against G, l and h.
 
-    Branch sets are checked by ball_family: nonempty, inside 1..n,
-    disjoint and connected, with the radii it computes."""
+    A separator's components are counted, not listed: S is marked dead and
+    one search runs from every live vertex, reading G.adj directly, so the
+    check shares no code with the ball growing it checks.  Branch sets are
+    checked by ball_family: nonempty, inside 1..n, disjoint and connected,
+    with the radii it computes."""
     n = G.n
     log2n = math.log2(n) if n >= 2 else 0.0
     if isinstance(outcome, Separator):
@@ -415,8 +431,23 @@ def validate(
             return False
         if len(S) > c1 * (n / l + 4.0 * l * h * h * log2n):
             return False
-        rest = [v for v in range(1, n + 1) if v not in S]
-        largest = max(map(len, connected_components(G, within=rest)), default=0)
+        adj = G.adj
+        alive = [False] + [True] * n
+        for v in S:
+            alive[v] = False
+        largest = 0
+        for s in range(1, n + 1):
+            if alive[s]:
+                alive[s] = False
+                stack = [s]
+                size = 1
+                while stack:
+                    for w in adj[stack.pop()]:
+                        if alive[w]:
+                            alive[w] = False
+                            stack.append(w)
+                            size += 1
+                largest = max(largest, size)
         if outcome.largest_component_fraction != (largest / n if n else 0.0):
             return False
         return largest <= -(-2 * n // 3)

@@ -217,6 +217,15 @@ def test_connected_components():
     assert connected_components(G, within=[1, 4, 5]) == [[1], [4, 5]]
 
 
+def test_connected_components_checks_within():
+    from gradkit.generators import path
+
+    # -1 would read the last slot, 0 the unused one, 6 past the end
+    for within in ([-1], [0, 1], [6]):
+        with pytest.raises(InputError):
+            connected_components(path(5), within=within)
+
+
 @given(raw_graphs())
 def test_is_connected_matches_components(G):
     assert is_connected(G) == (len(connected_components(G)) <= 1)

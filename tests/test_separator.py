@@ -135,6 +135,28 @@ def test_separate_or_minor_random_connected(G, l, h):
         assert outcome.largest_component_fraction == largest / G.n
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    connected_graphs(),
+    st.data(),
+    st.integers(1, 4),
+    st.integers(2, 6),
+    st.sampled_from((0.01, 0.05, 0.2, separator.DEFAULT_C1)),
+)
+def test_validate_accepts_exactly_balanced_separators(G, data, l, h, c1):
+    # an arbitrary S, not one from ball growing; the fraction comes from
+    # connected_components, which validate does not call
+    n = G.n
+    S = frozenset(data.draw(st.sets(st.integers(1, n))))
+    rest = [v for v in range(1, n + 1) if v not in S]
+    largest = max(map(len, connected_components(G, within=rest)), default=0)
+    limit = c1 * (n / l + 4.0 * l * h * h * math.log2(n))
+    want = largest <= -(-2 * n // 3) and len(S) <= limit
+    assert validate(G, Separator(S, largest / n, limit), l, h, c1=c1) == want
+    for off in (-1, 1):
+        assert not validate(G, Separator(S, (largest + off) / n, limit), l, h, c1=c1)
+
+
 def _outcome_digest(o) -> str:
     if isinstance(o, Separator):
         fields = ("separator", sorted(o.vertices), o.largest_component_fraction, o.size_bound)
@@ -162,6 +184,23 @@ def test_separate_or_minor_matches_pinned_digest():
         # cut away beside a ball that is split again is the largest component
         (build_graph(12, [(1, v) for v in (2, 3, 4, 5, 7, 8, 11, 12)] + [(3, 6), (6, 9), (9, 10)]),
          1, 3, "40f4ec7bb476621587bb1883044894efd016f0a0b98fb9cc55106f95f152a4ed"),
+        # computed before the minor search read touch lists: each start of
+        # clique(6) is next to every earlier set at once, and the searches on
+        # the subdivided cliques and the cubic graph (which end in a
+        # separator) reach several sets from one vertex
+        (clique(6), 1, 5, "f0bba867d1e93eac8e180eff3cbfec31ba11e42e05757c07533dba8f7c7e2985"),
+        (subdivided_clique(5, 2), 1, 5,
+         "b06040631121ce53759d9693459423eece29e2303975edfbfead21da4511e69a"),
+        (subdivided_clique(6, 2), 2, 4,
+         "b2a95227e4d14ea59c3ef28070fcf7b874af6f92712dc8c782cddd417443067a"),
+        (random_regular(2000, 3, 7), 1, 5,
+         "62c0f00056b5657f72381727d520e164aff113012f170f3fe1dae3b0c8a35ad6"),
+        # vertex 4 is next to set {2, 3} by two edges; the first in G.adj[4]
+        # order, 4-2, certifies the pair
+        (build_graph(4, [(1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]), 1, 3,
+         "b0b5ec9de95325d4c6d01cd731ebfe75c39c58a19328143fa26a5668ad2d87e2"),
+        (random_regular(100, 3, 3), 1, 4,  # the same, on a cubic graph
+         "4f6e93c530b8d741d00dd38fbeb00596d55ef0afeb60156fe64e8028858c059c"),
     ]
     for G, l, h, want in cases:
         assert _outcome_digest(separate_or_minor(G, l, h)) == want
@@ -170,15 +209,20 @@ def test_separate_or_minor_matches_pinned_digest():
 def test_minor_search_stops_at_sealed_set(monkeypatch):
     attach = separator._attach_bfs
     calls = []
+    sets = []  # the branch sets built so far, in order
 
-    def checked(G, start, used, node_id, budget, targets):
+    def checked(G, start, used, touch, budget, targets):
         # every existing branch set still has an unused vertex next to it
-        for i in range(targets):
+        assert len(sets) == targets
+        for i, b in enumerate(sets):
             assert any(
-                not used[w] for v in G.vertices() if node_id[v] == i for w in G.adj[v]
+                not used[w] for v in b for w in G.adj[v]
             ), f"attempt {len(calls) + 1} after set {i} was sealed"
         calls.append(start)
-        return attach(G, start, used, node_id, budget, targets)
+        got = attach(G, start, used, touch, budget, targets)
+        if got is not None:
+            sets.append(got[0])
+        return got
 
     monkeypatch.setattr(separator, "_attach_bfs", checked)
     G = grid(10, 10)
