@@ -7,7 +7,13 @@ meets at most h colour classes, connected in the colour quotient graph
 colour sets are visited, each once, with the union of its classes read off
 the class lists and the host adjacency.  An introduce/forget dynamic
 program walks the union's elimination forest and counts the copies, or
-the induced copies, in it.  Counting turns the per-union counts into
+the induced copies, in it.  A union of exactly h vertices (every union,
+when each colour class is one vertex) is a labelled graph on h local
+ids, of which there are at most 2^(h(h-1)/2); one count or containment
+call keeps a table from those rows to the DP's result, so each distinct
+labelled union is counted once.  The count depends on the rows alone,
+not on the forest or the colours, so the table is exact; it lives only
+for that call.  Counting turns the per-union counts into
 counts per exact colour set by a Moebius pass, so every copy is counted
 once; the copies meeting a vertex set S are count(union) - count(union -
 S) on each union that meets S.  Deciding containment stops at the first
@@ -202,7 +208,12 @@ def count_on_decomposition(G_part: Graph, T: TreeDecomposition, H: Pattern | Gra
 
 
 def _count_in_union(
-    G: Graph, verts: list[int], colors: Sequence[int], pat: Pattern, induced: bool = False
+    G: Graph,
+    verts: list[int],
+    colors: Sequence[int],
+    pat: Pattern,
+    table: dict[tuple[tuple[int, ...], ...], int],
+    induced: bool = False,
 ) -> int:
     """Count copies of pat (induced ones, with induced) in G[verts], for
     distinct vertices verts in any order; 0 when verts has fewer than h.
@@ -216,17 +227,31 @@ def _count_in_union(
     subtree.  low_tdepth_coloring(G, h + 1) is centered on every union of
     at most h colours, so only a colouring the caller supplied can fail
     here; the forest is then a DFS forest, always an elimination forest.
+
+    A union of exactly h vertices is looked up in table, the caller's
+    dict for one count with one pattern and one induced flag, keyed by
+    its rows over local ids: the count is a property of that labelled
+    graph alone, whatever the forest or the colours, so a hit is exact.
+    Each key is a labelled graph on h ids, so the table holds at most
+    2^(h(h-1)/2) entries; larger unions bypass it.
     """
-    if len(verts) < pat.graph.n:
+    h = pat.graph.n
+    if len(verts) < h:
         return 0
     adj = local_adjacency(G, verts)
     if sum(map(len, adj)) < 2 * pat.graph.m:
         return 0
+    key = tuple(adj) if len(verts) == h else None
+    if key in table:
+        return table[key]
     try:
         parent = centered_parents(adj, [0] + [colors[v] for v in verts])
     except NotCenteredError:
         parent = dfs_parents(adj)
-    return _copies(adj, _forest_walk(parent), pat, induced)
+    k = _copies(adj, _forest_walk(parent), pat, induced)
+    if key is not None:
+        table[key] = k
+    return k
 
 
 def _contains(G: Graph, pat: Pattern, col: Coloring, induced: bool) -> bool:
@@ -235,8 +260,9 @@ def _contains(G: Graph, pat: Pattern, col: Coloring, induced: bool) -> bool:
     and is induced in G iff it is induced in that union, so the scan stops
     at the first union whose count is positive."""
     _, classes, adjm = color_classes(G, col)
+    table: dict[tuple[tuple[int, ...], ...], int] = {}
     return any(
-        _count_in_union(G, verts, col.colors, pat, induced)
+        _count_in_union(G, verts, col.colors, pat, table, induced)
         for _, verts in connected_unions(classes, adjm, pat.graph.n)
     )
 
@@ -259,13 +285,14 @@ def _exact_counts(
     """
     used, classes, adjm = color_classes(G, col)
     colors = col.colors
+    table: dict[tuple[tuple[int, ...], ...], int] = {}
     union_counts: dict[int, int] = {}
     for C, verts in connected_unions(classes, adjm, pat.graph.n):
         if S is not None and S.isdisjoint(verts):
             continue
-        k = _count_in_union(G, verts, colors, pat)
+        k = _count_in_union(G, verts, colors, pat, table)
         if S is not None:
-            k -= _count_in_union(G, [v for v in verts if v not in S], colors, pat)
+            k -= _count_in_union(G, [v for v in verts if v not in S], colors, pat, table)
         if k:
             union_counts[C] = k
     exact: dict[int, int] = {}

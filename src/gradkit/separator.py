@@ -71,6 +71,13 @@ class MinorWitness:
 SeparatorOutcome = Union[Separator, MinorWitness]
 
 
+def _size_bound(n: int, l: int, h: int, c1: float) -> float:
+    """c1 (n / l + 4 l h^2 log2 n), log2 n read as 0 below n = 2: the size
+    a separator reports at (l, h) and validate requires it to report."""
+    log2n = math.log2(n) if n >= 2 else 0.0
+    return c1 * (n / l + 4.0 * l * h * h * log2n)
+
+
 def _attach_bfs(
     G: Graph,
     start: int,
@@ -404,7 +411,7 @@ def separate_or_minor(
     return Separator(
         vertices=frozenset(S),
         largest_component_fraction=largest / n,
-        size_bound=c1 * (n / l + 4.0 * l * h * h * log2n),
+        size_bound=_size_bound(n, l, h, c1),
     )
 
 
@@ -418,18 +425,21 @@ def validate(
 ) -> bool:
     """Re-check every certificate of the outcome against G, l and h.
 
-    A separator's components are counted, not listed: S is marked dead and
-    one search runs from every live vertex, reading G.adj directly, so the
-    check shares no code with the ball growing it checks.  Branch sets are
-    checked by ball_family: nonempty, inside 1..n, disjoint and connected,
-    with the radii it computes."""
+    A separator must report exactly the size bound _size_bound gives at
+    (l, h, c1), compared as floats like the component fraction, and hold
+    at most that many vertices.  Its components are counted, not listed:
+    S is marked dead and one search runs from every live vertex, reading
+    G.adj directly, so the check shares no code with the ball growing it
+    checks.  Branch sets are checked by ball_family: nonempty, inside
+    1..n, disjoint and connected, with the radii it computes."""
     n = G.n
     log2n = math.log2(n) if n >= 2 else 0.0
     if isinstance(outcome, Separator):
         S = outcome.vertices
         if any(not 1 <= v <= n for v in S):
             return False
-        if len(S) > c1 * (n / l + 4.0 * l * h * h * log2n):
+        bound = _size_bound(n, l, h, c1)
+        if outcome.size_bound != bound or len(S) > bound:
             return False
         adj = G.adj
         alive = [False] + [True] * n
@@ -579,7 +589,7 @@ def sublinear_separator(
     n = G.n
     if n <= 1:
         return SublinearReport(
-            outcome=Separator(frozenset(), 1.0 if n else 0.0, 0.0),
+            outcome=Separator(frozenset(), 1.0 if n else 0.0, _size_bound(n, 1, 2, c1)),
             z=1,
             zeta=0,
             l=1,

@@ -227,19 +227,19 @@ def test_centered_parents_matches_per_root_reference(G, data):
 def test_centered_to_forest_grows_linearly_on_ruler_paths():
     # one root per component and a stamp per search, not one components
     # pass per root: n log n on a ruler-coloured path (log n levels)
-    # three sizes at best of 7 each, so that one burst of load on one size
-    # does not decide the fitted exponent
-    points = []
-    for bits in (12, 13, 14):
-        n = 1 << bits
-        P, ruler = path(n), ruler_coloring(n, bits + 1)
-        best = float("inf")
-        for _ in range(7):
+    # three sizes at best of 7 each, timed round-robin (one timing of each
+    # size per round), so that a burst of load from the rest of the suite
+    # hits every size alike instead of deciding the fitted exponent
+    sizes = (12, 13, 14)
+    cases = [(path(1 << bits), ruler_coloring(1 << bits, bits + 1)) for bits in sizes]
+    best = [float("inf")] * len(cases)
+    for _ in range(7):
+        for i, (P, ruler) in enumerate(cases):
             t = time.perf_counter()
             F = centered_to_forest(P, ruler)
-            best = min(best, time.perf_counter() - t)
-        assert F.max_height == bits + 1
-        points.append((n, best))
+            best[i] = min(best[i], time.perf_counter() - t)
+            assert F.max_height == sizes[i] + 1
+    points = [(1 << bits, t) for bits, t in zip(sizes, best)]
     assert fit_exponent(points) <= 1.25, points
 
 

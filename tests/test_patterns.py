@@ -1,16 +1,19 @@
 import random
+import sys
+import threading
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradkit.coloring import Coloring, color_classes, greedy_coloring
+from gradkit.coloring import Coloring, color_classes, connected_unions, greedy_coloring
 from gradkit.core import (
     build_graph,
     connected_sets,
     induced_subgraph,
     is_connected,
+    local_adjacency,
 )
 from gradkit.errors import DomainError, InputError, PatternError
 from gradkit.forests import TreeDecomposition, dfs_forest, forest_to_decomposition
@@ -238,6 +241,79 @@ def test_random_colouring_examples_take_both_forests(monkeypatch):
         assert (calls["dfs"] > before) == (G.n == 5)
     # every union tries centered_parents first; only FALLBACK_CASE's falls back
     assert calls["centered"] > calls["dfs"] > 0
+
+
+def test_one_dp_per_distinct_labelled_union(monkeypatch):
+    # with one vertex per colour every union of h colours has h vertices,
+    # and the DP runs once per distinct rows-over-local-ids key in a call
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return copies(*args)
+
+    copies = patterns._copies
+    monkeypatch.setattr(patterns, "_copies", counted)
+    G = grid(8, 8)
+    col = Coloring((0,) + tuple(range(1, 65)), 64)
+    _, classes, adjm = color_classes(G, col)
+    S = frozenset({1, 10, 37, 64})
+    # brute force over 64 choose 4 vertex sets takes about 40 s per C4
+    # count, so C4 takes the grid's own numbers: its 7 x 7 unit squares, 9
+    # of them at a vertex of S (1 + 4 + 4 + 1, less the square holding 1 and 10)
+    want = {
+        "P3": (brute_count(G, path(3)), brute_count_hitting(G, path(3), S)),
+        "C4": (49, 9),
+    }
+    for name, H in (("P3", path(3)), ("C4", cycle(4))):
+        keys, hit_keys = set(), set()
+        for _, verts in connected_unions(classes, adjm, H.n):
+            adj = local_adjacency(G, verts)
+            if len(verts) == H.n and sum(map(len, adj)) >= 2 * H.m:
+                keys.add(tuple(adj))
+                if not S.isdisjoint(verts):
+                    hit_keys.add(tuple(adj))
+        total, hitting = want[name]
+        assert (len(list_isomorphs(G, H)), len(list_isomorphs(G, H, S))) == want[name]
+        del calls[:]
+        assert count_isomorphs(G, H, coloring=col).total == total
+        assert len(calls) == len(keys)
+        del calls[:]
+        assert count_isomorphs(G, H, S, coloring=col).total == hitting
+        assert len(calls) == len(hit_keys)  # union minus S has < h vertices
+
+
+def test_counting_is_thread_safe():
+    # the union table lives in one call: four threads counting at once on
+    # one host and colouring each get the single-threaded reports
+    G = random_regular(64, 3, 1)
+    col = Coloring((0,) + tuple(range(1, 65)), 64)
+    pats = [make_pattern(path(3)), make_pattern(cycle(4))]
+    want = [count_isomorphs(G, P, coloring=col) for P in pats]
+    start = threading.Barrier(4)
+    wrong: list[int | None] = [None] * 4  # stays None if a thread dies
+
+    def worker(t):
+        start.wait()
+        bad = 0
+        for _ in range(5):
+            for P, rep in zip(pats, want):
+                if count_isomorphs(G, P, coloring=col) != rep:
+                    bad += 1
+        wrong[t] = bad
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == [0] * 4
 
 
 def _quotient_connected(quotient, C):

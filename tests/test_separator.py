@@ -282,9 +282,13 @@ def test_validate_negatives():
     # separator leaving a 0.9n component
     P10 = path(10)
     assert not validate(P10, Separator(frozenset({1}), 0.9, 99.0), 1, 3)
-    # the right separator with a wrong largest component fraction
-    assert validate(P10, Separator(frozenset({4, 7}), 0.3, 99.0), 1, 3)
-    assert not validate(P10, Separator(frozenset({4, 7}), 0.5, 99.0), 1, 3)
+    # the right separator with a wrong largest component fraction; the
+    # size bound at (1, 3) is 4 (10 + 36 log2 10) = 518.36...
+    bound = 4.0 * (10 / 1 + 4.0 * 1 * 3 * 3 * math.log2(10))
+    assert validate(P10, Separator(frozenset({4, 7}), 0.3, bound), 1, 3)
+    assert not validate(P10, Separator(frozenset({4, 7}), 0.5, bound), 1, 3)
+    # the right separator reporting a size bound other than the one at (1, 3)
+    assert not validate(P10, Separator(frozenset({4, 7}), 0.3, 99.0), 1, 3)
     # branch sets sharing a vertex
     overlap = MinorWitness(
         branch_sets=(frozenset({1, 2}), frozenset({2, 3}), frozenset({4})),
