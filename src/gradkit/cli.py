@@ -17,7 +17,7 @@ from .coloring import low_tdepth_coloring
 from .core import Graph, _check_vertex
 from .distance import preprocess
 from .errors import DomainError, InputError
-from .generators import FAMILIES, GeneratorSpec, lex_product_kc
+from .generators import FAMILIES, lex_product_kc
 from .gradoracle import ball_family, evaluate_family, grad
 from .harness import run_suite
 from .orientation import orient
@@ -169,19 +169,25 @@ def _cmd_separator(args, cfg) -> int:
             d = report.witness_density
             print(f"witness_density {d.numerator}/{d.denominator}")
         print(f"separator_size_bound {report.separator_size_bound:.2f}")
-        _print_outcome(G, report.outcome, report.l, report.h, cfg.separator_c1)
-        if args.cert:
-            _write_certificate(report.outcome, args.cert)
-        return 0
-    if args.l is None or args.h is None:
+        outcome, l, h = report.outcome, report.l, report.h
+    elif args.l is None or args.h is None:
         raise DomainError("separator needs either --l and --h, or --expansion")
-    outcome = separate_or_minor(
-        G, args.l, args.h, c1=cfg.separator_c1, minor_attempts=cfg.minor_attempts
-    )
-    _print_outcome(G, outcome, args.l, args.h, cfg.separator_c1)
+    else:
+        l, h = args.l, args.h
+        outcome = separate_or_minor(
+            G, l, h, c1=cfg.separator_c1, minor_attempts=cfg.minor_attempts
+        )
+    _print_outcome(G, outcome, l, h, cfg.separator_c1)
     if args.cert:
         _write_certificate(outcome, args.cert)
     return 0
+
+
+def _int_params(params: list[str]) -> list[int]:
+    try:
+        return [int(p) for p in params]
+    except ValueError:
+        raise InputError(f"non-integer generator parameters: {params}") from None
 
 
 def _cmd_gen(args, cfg) -> int:
@@ -190,16 +196,17 @@ def _cmd_gen(args, cfg) -> int:
         if len(args.params) != 2:
             raise InputError("gen lex_product takes: <base graph file> <c>")
         base = textio.read_graph(args.params[0])
-        G = lex_product_kc(base, int(args.params[1]))
+        G = lex_product_kc(base, *_int_params(args.params[1:]))
         name = f"lex_product({args.params[0]},{args.params[1]})"
     else:
-        try:
-            params = tuple(int(p) for p in args.params)
-        except ValueError:
-            raise InputError(f"non-integer generator parameters: {args.params}") from None
-        spec = GeneratorSpec(family, params)
-        G = spec.build()
-        name = spec.name
+        params = _int_params(args.params)
+        if family not in FAMILIES:
+            raise InputError(f"unknown family {family!r}")
+        fn, arity = FAMILIES[family]
+        if len(params) != arity:
+            raise InputError(f"family {family!r} takes {arity} parameters, got {len(params)}")
+        G = fn(*params)
+        name = family + "(" + ",".join(str(p) for p in params) + ")"
     _emit(textio.graph_to_text(G, comments=[name]), args.output)
     return 0
 

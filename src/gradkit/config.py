@@ -1,12 +1,13 @@
 """Runtime configuration: size limits and calibrated constants.
 
 Loadable from a plain key=value file ('#' comments allowed), overridable
-by CLI flags; unknown keys are rejected.  Every key is a positive int or
-float.
+by CLI flags; unknown keys are rejected.  Every key is a finite positive
+int or float.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -14,6 +15,7 @@ from .errors import InputError
 from .gradoracle import DEFAULT_LIMIT, DEFAULT_LIMIT_R0
 from .patterns import DEFAULT_PATTERN_LIMIT
 from .separator import DEFAULT_C1, DEFAULT_MINOR_ATTEMPTS
+from .textio import _data_lines
 from .treedepth import DEFAULT_EXACT_LIMIT
 
 ENV_VAR = "GRADKIT_CONFIG"
@@ -32,6 +34,8 @@ class Config:
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise InputError(f"config key {f.name} must be finite, got {value}")
             if value <= 0:
                 raise InputError(f"config key {f.name} must be positive, got {value}")
 
@@ -39,23 +43,19 @@ class Config:
 def load_config(path: str) -> Config:
     cfg = Config()
     known = {f.name: f.type for f in fields(Config)}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not sep:
-                raise InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            if key not in known:
-                raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
-            convert = int if known[key] == "int" else float
-            try:
-                setattr(cfg, key, convert(value))
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
+    for lineno, line in _data_lines(path):
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not sep:
+            raise InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if key not in known:
+            raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
+        convert = int if known[key] == "int" else float
+        try:
+            setattr(cfg, key, convert(value))
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     cfg.validate()
     return cfg
 

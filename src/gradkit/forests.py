@@ -50,25 +50,18 @@ def make_forest(n: int, parent: Mapping[int, int] | Iterable[int]) -> RootedFore
     for v in range(1, n + 1):
         if not 0 <= par[v] <= n or par[v] == v:
             raise InputError(f"bad parent {par[v]} for vertex {v}")
+    # 0 = not yet resolved, -1 = on the chain being resolved
     height = [0] * (n + 1)
-
-    def resolve(v: int) -> int:
-        chain = []
-        while height[v] == 0:
-            chain.append(v)
-            if par[v] == 0:
-                height[v] = 1
-                break
-            v = par[v]
-            if v in chain:
-                raise InputError(f"parent structure has a cycle through {v}")
-        for u in reversed(chain):
-            if height[u] == 0:
-                height[u] = height[par[u]] + 1
-        return height[chain[0]] if chain else height[v]
-
     for v in range(1, n + 1):
-        resolve(v)
+        chain = []
+        while v and height[v] == 0:
+            height[v] = -1
+            chain.append(v)
+            v = par[v]
+        if v and height[v] == -1:
+            raise InputError(f"parent structure has a cycle through {v}")
+        for u in reversed(chain):
+            height[u] = height[par[u]] + 1
     roots = tuple(v for v in range(1, n + 1) if par[v] == 0)
     return RootedForest(n=n, parent=tuple(par), roots=roots, height=tuple(height))
 

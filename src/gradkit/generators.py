@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .core import Graph, build_graph
 from .errors import InputError
@@ -114,28 +113,3 @@ FAMILIES = {
     "star": (star, 1),
     "cycle": (cycle, 1),
 }
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Family tag plus integer parameters; identical spec gives an identical graph."""
-
-    family: str
-    params: tuple[int, ...] = field(default=())
-
-    def build(self) -> Graph:
-        if self.family == "lex_product":
-            raise InputError("lex_product needs an explicit base graph; use lex_product_kc")
-        try:
-            fn, arity = FAMILIES[self.family]
-        except KeyError:
-            raise InputError(f"unknown family {self.family!r}") from None
-        if len(self.params) != arity:
-            raise InputError(
-                f"family {self.family!r} takes {arity} parameters, got {len(self.params)}"
-            )
-        return fn(*self.params)
-
-    @property
-    def name(self) -> str:
-        return self.family + "(" + ",".join(str(p) for p in self.params) + ")"

@@ -496,15 +496,19 @@ class ExpansionBound:
     params: tuple[float, ...]
 
     def __call__(self, r: int) -> float:
-        if self.kind == "constant":
-            return self.params[0]
-        if self.kind == "polynomial":
-            c, d = self.params
-            return c * (r + 1) ** d
-        if self.kind == "exponential":
-            return self.params[0] ** (r + 1)
-        if self.kind == "table":
-            return self.params[min(r, len(self.params) - 1)]
+        """f(r), or math.inf where the value overflows a float."""
+        try:
+            if self.kind == "constant":
+                return self.params[0]
+            if self.kind == "polynomial":
+                c, d = self.params
+                return c * (r + 1) ** d
+            if self.kind == "exponential":
+                return self.params[0] ** (r + 1)
+            if self.kind == "table":
+                return self.params[min(r, len(self.params) - 1)]
+        except OverflowError:
+            return math.inf
         raise DomainError(f"unknown expansion bound kind {self.kind!r}")
 
 
@@ -514,6 +518,8 @@ def parse_expansion(text: str) -> ExpansionBound:
     try:
         values = tuple(float(tok) for tok in rest.split(",")) if rest else ()
     except ValueError:
+        values = ()
+    if not all(math.isfinite(v) for v in values):
         values = ()
     if kind == "const" and len(values) == 1 and values[0] > 0:
         return ExpansionBound("constant", values)
@@ -582,10 +588,10 @@ def sublinear_separator(
     z is the largest rank with 2 z (f(z) + 2) <= sqrt(n log n); the minor
     search depth is capped at z, so a returned witness shows a depth-z
     K_h minor with h = floor(f(z) + 2), contradicting the declared bound.
-    The report then flags the violation instead of failing.
+    The report then flags the violation instead of failing.  An f(z)
+    that is not finite raises DomainError; a disconnected G with n >= 2
+    raises DisconnectedError from separate_or_minor.
     """
-    if not is_connected(G):
-        raise DisconnectedError("sublinear_separator needs a connected graph")
     n = G.n
     if n <= 1:
         return SublinearReport(
@@ -601,7 +607,10 @@ def sublinear_separator(
     log2n = math.log2(n)
     z = max(1, choose_z(n, f))
     l = max(1, int(z / log2n))
-    h = int(f(z) + 2)
+    fz = f(z)
+    if not math.isfinite(fz):
+        raise DomainError(f"expansion bound f({z}) = {fz} is not finite")
+    h = int(fz + 2)
     budget = min(z, int(l * log2n))
     outcome = separate_or_minor(
         G, l, h, c1=c1, minor_attempts=minor_attempts, radius_budget=budget

@@ -13,12 +13,17 @@ from .core import ArcListDigraph, Graph, build_digraph, build_graph
 from .errors import InputError
 
 
-def _iter_data_lines(stream: Iterable[str]):
-    for lineno, raw in enumerate(stream, start=1):
+def _data_lines(source: str | IO[str]):
+    """(line number, stripped text) for each line of a path or an open
+    stream that is neither blank nor a '#' comment."""
+    if isinstance(source, str):
+        with open(source, "r", encoding="utf-8") as f:
+            yield from _data_lines(f)
+        return
+    for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def _ints(line: str, lineno: int, count: int, what: str) -> list[int]:
@@ -42,14 +47,7 @@ def read_digraph(source: str | IO[str]) -> ArcListDigraph:
 
 
 def _read(source, weighted: bool):
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as f:
-            return _read_stream(f, weighted)
-    return _read_stream(source, weighted)
-
-
-def _read_stream(stream: Iterable[str], weighted: bool):
-    lines = _iter_data_lines(stream)
+    lines = _data_lines(source)
     try:
         lineno, header = next(lines)
     except StopIteration:
@@ -97,11 +95,8 @@ def digraph_to_text(dg: ArcListDigraph, comments: Iterable[str] = ()) -> str:
 
 def read_pairs(source: str | IO[str]) -> list[tuple[int, int]]:
     """Read "x y" query pairs, one per line."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as f:
-            return read_pairs(f)
     out = []
-    for lineno, line in _iter_data_lines(source):
+    for lineno, line in _data_lines(source):
         x, y = _ints(line, lineno, 2, "'x y' pair")
         out.append((x, y))
     return out
@@ -109,11 +104,8 @@ def read_pairs(source: str | IO[str]) -> list[tuple[int, int]]:
 
 def read_vertex_set(source: str | IO[str]) -> frozenset[int]:
     """Read whitespace-separated vertex ids (any number per line)."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as f:
-            return read_vertex_set(f)
     verts: set[int] = set()
-    for lineno, line in _iter_data_lines(source):
+    for lineno, line in _data_lines(source):
         for tok in line.split():
             try:
                 verts.add(int(tok))
@@ -124,11 +116,8 @@ def read_vertex_set(source: str | IO[str]) -> frozenset[int]:
 
 def read_family(source: str | IO[str]) -> list[frozenset[int]]:
     """Read a ball family: one ball per line, whitespace-separated ids."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as f:
-            return read_family(f)
     balls: list[frozenset[int]] = []
-    for lineno, line in _iter_data_lines(source):
+    for lineno, line in _data_lines(source):
         try:
             balls.append(frozenset(int(tok) for tok in line.split()))
         except ValueError:

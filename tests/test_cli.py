@@ -1,3 +1,4 @@
+import io
 import os
 
 import pytest
@@ -7,8 +8,9 @@ from gradkit.config import Config, load_config, resolve_config
 from gradkit.errors import InputError
 from gradkit import textio
 from gradkit.coloring import low_tdepth_coloring
-from gradkit.generators import clique, grid, path
+from gradkit.generators import FAMILIES, clique, grid, path, random_regular
 from gradkit.oracles import brute_count_hitting
+from gradkit.separator import Separator, parse_expansion, separate_or_minor, sublinear_separator
 
 
 @pytest.fixture
@@ -251,6 +253,12 @@ def test_config_rejects_unknown_and_bad(tmp_path):
         with pytest.raises(InputError, match="unknown config key"):
             load_config(str(f))
         assert main(["--config", str(f), "color", str(g), "--p", "3"]) == 2
+    # NaN passes a "<= 0" test and infinity is positive: both are rejected
+    for value in ("nan", "inf", "-inf"):
+        f.write_text(f"separator_c1 = {value}\n")
+        with pytest.raises(InputError, match="separator_c1"):
+            load_config(str(f))
+        assert main(["--config", str(f), "separator", str(g), "--l", "2", "--h", "4"]) == 2
 
 
 def test_config_env(tmp_path, monkeypatch):
@@ -268,3 +276,105 @@ def test_config_flag_applies(tmp_path, capsys):
     g = tmp_path / "p5.txt"
     g.write_text(textio.graph_to_text(path(5)))
     assert main(["--config", str(cfg), "grad", str(g), "--r", "0"]) == 1
+
+
+READERS = [
+    # (reader, good text, a text whose line 3 is bad)
+    (textio.read_graph, "# c\n3 2\n\n1 2\n2 3\n", "3 2\n1 2\n2 x\n"),
+    (textio.read_digraph, "3 2\n# c\n1 2 1\n2 3 4\n", "3 2\n1 2 1\n2 3\n"),
+    (textio.read_pairs, "1 2\n\n# c\n3 3\n", "1 2\n# c\n1 2 3\n"),
+    (textio.read_vertex_set, "1 2\n# c\n\n5\n", "1\n\n7 v\n"),
+    (textio.read_family, "1 2\n# c\n3\n", "1 2\n3\n4 b\n"),
+]
+
+
+@pytest.mark.parametrize("reader,good,bad", READERS)
+def test_readers_agree_on_path_and_stream(reader, good, bad, tmp_path):
+    f = tmp_path / "in.txt"
+    f.write_text(good)
+    assert reader(str(f)) == reader(io.StringIO(good))
+    f.write_text(bad)
+    messages = []
+    for source in (str(f), io.StringIO(bad)):
+        with pytest.raises(InputError, match="line 3") as exc:
+            reader(source)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_missing_input_file_exits_2_for_every_reader(p5_file, capsys):
+    missing = "/no/such/file.txt"
+    for argv in (
+        ["orient", missing],
+        ["dist", p5_file, "--pairs", missing],
+        ["count", p5_file, "--pattern", missing],
+        ["count", p5_file, "--pattern", p5_file, "--restrict", missing],
+        ["grad", p5_file, "--r", "0", "--witness-only", missing],
+        ["--config", missing, "color", p5_file, "--p", "2"],
+    ):
+        assert main(argv) == 2, argv
+        assert missing in capsys.readouterr().err
+
+
+def test_gen_comment_line_and_family_errors(tmp_path, capsys):
+    assert set(FAMILIES) >= {"grid", "subdivided_clique", "random_regular", "path", "clique", "star"}
+    assert main(["gen", "random-regular", "8", "3", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# random_regular(8,3,1)\n8 12\n")
+    assert textio.read_graph(io.StringIO(out)) == random_regular(8, 3, 1)
+    assert main(["gen", "moebius", "3"]) == 2
+    assert "unknown family 'moebius'" in capsys.readouterr().err
+    assert main(["gen", "grid", "2"]) == 2
+    assert "family 'grid' takes 2 parameters, got 1" in capsys.readouterr().err
+    assert main(["gen", "grid", "x", "y"]) == 2
+    g = tmp_path / "g.txt"
+    g.write_text(textio.graph_to_text(path(2)))
+    assert main(["gen", "lex_product", str(g)]) == 2
+    # a non-integer clique order is a format error, not a traceback
+    assert main(["gen", "lex_product", str(g), "x"]) == 2
+    assert "non-integer generator parameters: ['x']" in capsys.readouterr().err
+    capsys.readouterr()
+    for family, params in (("grid", (2, 3)), ("path", (4,)), ("subdivided_clique", (3, 1))):
+        argv = ["gen", family] + [str(p) for p in params]
+        assert main(argv) == 0
+        fn, arity = FAMILIES[family]
+        name = family + "(" + ",".join(str(p) for p in params) + ")"
+        assert capsys.readouterr().out == textio.graph_to_text(fn(*params), comments=[name])
+
+
+def _cert_lines(prefix):
+    for suffix in (".separator.txt", ".minor.txt"):
+        if os.path.exists(prefix + suffix):
+            with open(prefix + suffix, encoding="utf-8") as fh:
+                return suffix, fh.read()
+    return None
+
+
+def test_separator_cert_files_in_both_modes(tmp_path, capsys):
+    G = grid(6, 6)
+    g = tmp_path / "grid.txt"
+    g.write_text(textio.graph_to_text(G))
+    K = clique(10)
+    k = tmp_path / "k10.txt"
+    k.write_text(textio.graph_to_text(K))
+    cases = [
+        (["separator", str(g), "--l", "2", "--h", "5"], separate_or_minor(G, 2, 5)),
+        (["separator", str(g), "--expansion", "poly:2,1"],
+         sublinear_separator(G, parse_expansion("poly:2,1")).outcome),
+        (["separator", str(k), "--expansion", "const:0.5"],
+         sublinear_separator(K, parse_expansion("const:0.5")).outcome),
+    ]
+    kinds = set()
+    for i, (argv, outcome) in enumerate(cases):
+        prefix = str(tmp_path / f"cert{i}")
+        assert main(argv + ["--cert", prefix]) == 0
+        assert "valid True" in capsys.readouterr().out
+        if isinstance(outcome, Separator):
+            want = (".separator.txt", " ".join(str(v) for v in sorted(outcome.vertices)) + "\n")
+        else:
+            want = (".minor.txt", "".join(
+                " ".join(str(v) for v in sorted(b)) + "\n" for b in outcome.branch_sets
+            ))
+        assert _cert_lines(prefix) == want
+        kinds.add(want[0])
+    assert kinds == {".separator.txt", ".minor.txt"}

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from gradkit.core import build_graph
@@ -11,6 +13,7 @@ from gradkit.forests import (
     validate_decomposition,
 )
 from gradkit.generators import clique, cycle, grid, path, star
+from gradkit.harness import fit_exponent
 
 
 def test_make_forest_heights_and_roots():
@@ -26,6 +29,34 @@ def test_make_forest_rejects_cycles():
         make_forest(3, {1: 2, 2: 3, 3: 1})
     with pytest.raises(InputError, match="parent"):
         make_forest(2, {1: 1, 2: 0})
+    # one cycle through all 1,000 vertices
+    n = 1000
+    with pytest.raises(InputError, match="cycle through 1$"):
+        make_forest(n, [v % n + 1 for v in range(1, n + 1)])
+    # a rooted path 1..4, then a tail 5 -> ... -> 500 that runs into the cycle 500 -> ... -> 1000 -> 500
+    parent = {1: 0, 2: 1, 3: 2, 4: 3}
+    parent.update({v: v + 1 for v in range(5, 1000)})
+    parent[1000] = 500
+    with pytest.raises(InputError, match="cycle through 500$"):
+        make_forest(1000, parent)
+
+
+def test_make_forest_grows_linearly_on_reversed_paths():
+    # parent = [2, ..., n, 0]: the first chain climbs all n vertices to the
+    # root n; round-robin timing (one timing of each size per round), best
+    # of 3 per size, in process CPU time so that other processes' load
+    # does not count
+    sizes = (10_000, 20_000, 40_000)
+    parents = [list(range(2, n + 1)) + [0] for n in sizes]
+    best = [float("inf")] * len(sizes)
+    for _ in range(3):
+        for i, (n, parent) in enumerate(zip(sizes, parents)):
+            t = time.process_time()
+            F = make_forest(n, parent)
+            best[i] = min(best[i], time.process_time() - t)
+            assert F.roots == (n,) and F.max_height == n
+    points = list(zip(sizes, best))
+    assert fit_exponent(points) <= 1.25, points
 
 
 def test_make_forest_rejects_keys_outside_range():

@@ -3,8 +3,6 @@ import pytest
 from gradkit.core import is_connected
 from gradkit.errors import InputError
 from gradkit.generators import (
-    FAMILIES,
-    GeneratorSpec,
     clique,
     cycle,
     grid,
@@ -65,14 +63,3 @@ def test_star_and_cycle():
     with pytest.raises(InputError):
         cycle(2)
 
-
-def test_generator_spec():
-    spec = GeneratorSpec("grid", (2, 3))
-    assert spec.build() == grid(2, 3)
-    assert spec.name == "grid(2,3)"
-    assert GeneratorSpec("random_regular", (8, 3, 1)).build() == random_regular(8, 3, 1)
-    with pytest.raises(InputError):
-        GeneratorSpec("moebius", (3,)).build()
-    with pytest.raises(InputError):
-        GeneratorSpec("grid", (2,)).build()
-    assert set(FAMILIES) >= {"grid", "subdivided_clique", "random_regular", "path", "clique", "star"}

@@ -356,9 +356,23 @@ def test_parse_expansion():
     assert parse_expansion("poly:2,1")(3) == 8
     assert parse_expansion("exp:3")(1) == 9
     assert parse_expansion("table:1,2,5")(10) == 5
-    for bad in ("const:", "poly:1", "exp:0.5", "table:3,2", "quux:1"):
+    for bad in (
+        "const:", "poly:1", "exp:0.5", "table:3,2", "quux:1",
+        "const:inf", "const:1e400", "poly:inf,1", "poly:2,inf", "exp:inf", "exp:1e400",
+        "table:1,inf", "const:nan",
+    ):
         with pytest.raises(InputError):
             parse_expansion(bad)
+
+
+def test_sublinear_separator_rejects_overflowing_bound():
+    # finite parameters whose values overflow a float: 1e308 * 2^5, 1e300^2, 2^1e308
+    G = grid(10, 10)
+    for spec in ("poly:1e308,5", "exp:1e300", "poly:2,1e308"):
+        f = parse_expansion(spec)
+        assert f(1) == math.inf
+        with pytest.raises(DomainError, match="not finite"):
+            sublinear_separator(G, f)
 
 
 def test_sublinear_separator_cubic():
@@ -390,6 +404,13 @@ def test_sublinear_separator_k1():
         assert isinstance(rep.outcome, Separator)
         assert rep.outcome.vertices == frozenset()
         assert validate(G, rep.outcome, rep.l, rep.h)
+
+
+def test_sublinear_separator_rejects_disconnected():
+    # two components of two vertices each, and a vertex with no edge
+    for G in (build_graph(4, [(1, 2), (3, 4)]), build_graph(3, [(1, 2)]), build_graph(2, [])):
+        with pytest.raises(DisconnectedError):
+            sublinear_separator(G, parse_expansion("const:1"))
 
 
 def test_witness_density_is_exactly_half_complete():
