@@ -1,4 +1,4 @@
-"""Low tree-depth colorings: the generating pipeline, its certificate and
+"""Low tree-depth colorings: the generating search, its certificate and
 the elimination forest of a centered coloring.
 
 A coloring is centered when every connected subgraph has a colour that
@@ -11,10 +11,28 @@ checks, at every input size, since it is exactly what the downstream
 consumers rely on.  The exhaustive checkers are test oracles in
 gradkit.oracles.
 
-The generator is verify-and-retry: augment the graph, colour the
-augmentation greedily in reverse degeneracy order, certify, and double the
-number of augmentation steps on failure.  The all-distinct coloring is an
-always-valid fallback, so termination is unconditional.
+The generator searches weak-reachability colourings.  In the reverse of
+the degeneracy order, w is weakly r-reachable from v when w comes no
+later than v and some path of length <= r joins them through vertices no
+earlier than w.  Colouring each vertex, in order, with the least colour
+not used on its weakly r-reachable set is p-centered at r = 2^(p-2)
+(Pilipczuk and Siebertz, SODA 2019; Zhu, Discrete Math 2009), so the
+search tries r = 1, 2, ... up to there and keeps the first candidate the
+certificate passes; if none passes, the all-distinct colouring, which is
+always centered, stands in.
+
+Counting reads, for every connected set C of at most p - 1 colours, the
+host rows of the union of C's classes.  The number of row entries it
+reads, the sum of 1 + deg v over those unions, is the cost of a colouring
+here, and the few-colour colouring competes on it with the all-distinct
+one, whose unions are the connected vertex sets of at most p - 1
+vertices.  Both totals are walked lazily, the side behind going next, so
+the first side to finish is no dearer than the other and the choice costs
+about twice the cheaper walk.  The certificate's walk over the candidates,
+failed ones included, is the few-colour side, so a hub host never lists
+its all-distinct sets in full.  Either colouring is certified, and any
+certified colouring gives the same counts, so the race decides only how
+fast counting runs.
 """
 
 from __future__ import annotations
@@ -22,8 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import Graph, bit_indices, connected_sets, local_adjacency, underlying_graph
-from .augmentation import augment
+from .core import Graph, bit_indices, connected_sets, local_adjacency
 from .errors import DomainError, NotCenteredError
 from .forests import RootedForest, make_forest
 from .orientation import degeneracy_order
@@ -160,50 +177,121 @@ def connected_unions(
         yield C, [v for i in bit_indices(C) for v in classes[i]]
 
 
-def certify_low_tdepth(G: Graph, coloring: Coloring, p: int) -> bool:
-    """Check that every union of i <= p - 1 colour classes induces a
-    subgraph of tree-depth at most i, at any size: each colour set C
-    connected in the quotient (a disconnected one induces the disjoint
-    union of its parts) must yield a centered_parents forest, of height
-    <= |C|.  p-centered colourings pass.  One forest per set, linear in
-    the union's order and degree sum.
+def _certified_costs(G: Graph, coloring: Coloring, p: int) -> Iterator[int]:
+    """The certificate, one colour set at a time.
+
+    For every colour set C of at most p - 1 colours connected in the
+    quotient (a disconnected one induces the disjoint union of its parts),
+    the union of its classes must yield a centered_parents forest, which
+    has height <= |C|; the first that does not raises NotCenteredError.
+    Each set that passes yields the host-row entries its union takes,
+    the sum of 1 + deg v over the union: what counting reads to build it.
 
     A union of at most |C| vertices gets no forest: each of its classes
     is then one vertex, so all its colours are distinct, which makes it
     centered with tree-depth at most |C|, and the forest could not fail.
-    When every class is one vertex, no set needs a forest."""
+    """
     colors = coloring.colors
-    used, classes, adjm = color_classes(G, coloring)
-    if len(used) == G.n:
-        return True
+    _, classes, adjm = color_classes(G, coloring)
+    weight = [sum(len(G.adj[v]) + 1 for v in cls) for cls in classes]
     for C, verts in connected_unions(classes, adjm, p - 1):
-        if len(verts) <= C.bit_count():
-            continue
-        try:
+        if len(verts) > C.bit_count():
             centered_parents(local_adjacency(G, verts), [0] + [colors[v] for v in verts])
-        except NotCenteredError:
-            return False
+        yield sum(weight[i] for i in bit_indices(C))
+
+
+def certify_low_tdepth(G: Graph, coloring: Coloring, p: int) -> bool:
+    """Check that every union of i <= p - 1 colour classes induces a
+    subgraph of tree-depth at most i, at any size, by walking
+    _certified_costs to the end.  p-centered colourings pass.  One forest
+    per set, linear in the union's order and degree sum.  When every
+    class is one vertex, no set needs a forest, and none is visited."""
+    if len(set(coloring.colors[1 : G.n + 1])) == G.n:
+        return True
+    try:
+        for _ in _certified_costs(G, coloring, p):
+            pass
+    except NotCenteredError:
+        return False
     return True
+
+
+def _candidates(G: Graph, p: int) -> Iterator[Coloring]:
+    """The greedy colourings against weakly r-reachable sets, for r = 1,
+    2, ..., 2^(p-2), in the reverse of the degeneracy order.
+
+    Vertex u reaches, by one BFS to depth r through the vertices later
+    than u, exactly the vertices from which it is weakly r-reachable.  So
+    in one pass over the order each vertex takes the least colour missing
+    from the mask its weak-reachability set has left on it, then leaves
+    its own colour on every vertex its BFS reaches.
+    """
+    order = degeneracy_order(G.n, G.adj).order[::-1]
+    pos = [0] * (G.n + 1)
+    for i, v in enumerate(order, 1):
+        pos[v] = i
+    adj = G.adj
+    for r in range(1, 2 ** max(p - 2, 0) + 1):
+        colors = [0] * (G.n + 1)
+        taken = [1] * (G.n + 1)  # bit c: colour c is used; colour 0 never
+        for u in order:
+            t = taken[u]
+            c = (~t & (t + 1)).bit_length() - 1  # the lowest clear bit
+            colors[u] = c
+            bit = 1 << c
+            start = pos[u]
+            seen = {u}
+            frontier = [u]
+            for _ in range(r):
+                nxt = []
+                for v in frontier:
+                    for w in adj[v]:
+                        if pos[w] > start and w not in seen:
+                            seen.add(w)
+                            taken[w] |= bit
+                            nxt.append(w)
+                frontier = nxt
+        yield Coloring(colors=tuple(colors), num_colors=max(colors[1:], default=0))
 
 
 def low_tdepth_coloring(G: Graph, p: int) -> Coloring:
     """Colouring whose every i <= p - 1 classes induce tree-depth <= i.
 
-    Augment-colour-certify with doubling step counts; every candidate goes
-    through certify_low_tdepth, whatever the size of G.  Falls back to the
-    all-distinct (hence centered) colouring, so this always succeeds.
+    The few-colour side is the first of _candidates that the certificate
+    passes, or the all-distinct colouring if none does; the other side is
+    the all-distinct colouring.  Whichever is cheaper to count with, by
+    the summed host-row entries of _certified_costs, is returned.  The
+    side whose running total is lower takes its next colour set, the
+    few-colour side on a tie, and the certificates of failed candidates
+    count towards it.  A side finishes only when it is the one to move,
+    so its final total is at most the other's running total: the first
+    side to finish wins, and the other side's walk is never finished.
     """
     if p < 1:
         raise DomainError(f"target p must be >= 1, got {p}")
     n = G.n
-    steps = p
-    cap = max(4 * p, 2 * n)
-    while steps <= cap:
-        trace = augment(G, steps)
-        candidate = greedy_coloring(underlying_graph(trace.final))
-        if certify_low_tdepth(G, candidate, p):
-            return candidate
-        if trace.transitivity_added[-1] == 0 and trace.fraternity_added[-1] == 0:
-            break  # augmentation saturated; more steps change nothing
-        steps *= 2
-    return Coloring(colors=(0,) + tuple(range(1, n + 1)), num_colors=n)
+    distinct = Coloring(colors=(0,) + tuple(range(1, n + 1)), num_colors=n)
+    passed: list[Coloring] = []
+
+    def few_colour_side() -> Iterator[int]:
+        for candidate in _candidates(G, p):
+            try:
+                yield from _certified_costs(G, candidate, p)
+            except NotCenteredError:
+                continue
+            passed.append(candidate)
+            return
+
+    few, other = few_colour_side(), _certified_costs(G, distinct, p)
+    a = b = 0
+    while True:
+        if a <= b:
+            step = next(few, None)
+            if step is None:
+                return passed[0] if passed else distinct
+            a += step
+        else:
+            step = next(other, None)
+            if step is None:
+                return distinct
+            b += step

@@ -42,6 +42,13 @@ def grid(a: int, b: int) -> Graph:
     return build_graph(a * b, edges)
 
 
+def apex_grid(a: int, b: int) -> Graph:
+    """a x b grid plus one vertex, a * b + 1, joined to all the others."""
+    G = grid(a, b)
+    hub = G.n + 1
+    return build_graph(hub, list(G.edges) + [(v, hub) for v in range(1, hub)])
+
+
 def subdivided_clique(q: int, t: int) -> Graph:
     """K_q with every edge replaced by a path through t new internal vertices."""
     if q < 1 or t < 0:
@@ -106,6 +113,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
 
 FAMILIES = {
     "grid": (grid, 2),
+    "apex_grid": (apex_grid, 2),
     "subdivided_clique": (subdivided_clique, 2),
     "random_regular": (random_regular, 3),
     "path": (path, 1),

@@ -1,16 +1,17 @@
 """Brute-force oracles used to check the fast algorithms.
 
 Everything here is deliberately naive: plain BFS tables, subset
-enumeration, permutation search, candidate lists, a full augmentation
-step, plain root recursion for tree-depth (brute_treedepth), exact
-tree-depth per union of colour classes.  Beyond the Graph and
-ArcListDigraph containers, the checkers share a few helpers with the code
-they check: is_centered and is_p_centered walk the connected vertex sets
-from core.connected_sets, and they and longest_path read the graph as
-core.neighbour_masks; brute_low_tdepth runs treedepth_decide on
-core.induced_subgraph; naive_step orients its new fraternity edges with
-build_graph and orient, where the step it checks reads the peeling order
-alone.  Every other checker uses no core helper.
+enumeration, connected-set growth one neighbour at a time, permutation
+search, candidate lists, a full augmentation step, plain root recursion
+for tree-depth (brute_treedepth), exact tree-depth per union of colour
+classes.  Beyond the Graph and ArcListDigraph containers, the checkers
+share a few helpers with the code they check: is_centered and
+is_p_centered walk the connected vertex sets from core.connected_sets,
+and they and longest_path read the graph as core.neighbour_masks;
+brute_low_tdepth runs treedepth_decide on core.induced_subgraph;
+naive_step orients its new fraternity edges with build_graph and orient,
+where the step it checks reads the peeling order alone.  Every other
+checker uses no core helper.
 """
 
 from __future__ import annotations
@@ -58,18 +59,46 @@ def bfs_all_pairs(G: Graph) -> list[list[int]]:
     return table
 
 
+def _plain_connected(G: Graph) -> bool:
+    """Is G connected?  A plain search from vertex 1; the empty graph is."""
+    seen = {1} if G.n else set()
+    todo = list(seen)
+    while todo:
+        for w in G.adj[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == G.n
+
+
+def _connected_vertex_sets(G: Graph, h: int) -> set[frozenset[int]]:
+    """Every set of h vertices of G that induces a connected subgraph,
+    grown one neighbour at a time from single vertices, duplicates merged
+    in a set."""
+    level = {frozenset((v,)) for v in range(1, G.n + 1)}
+    for _ in range(h - 1):
+        level = {S | {w} for S in level for v in S for w in G.adj[v] if w not in S}
+    return level
+
+
 def brute_copies(G: Graph, H: Graph) -> list[tuple[tuple[int, ...], frozenset[frozenset[int]]]]:
     """All distinct subgraph copies of H in G, by exhaustive enumeration.
 
-    A copy is (sorted vertex tuple, set of image edges).  Enumerates every
-    |V(H)|-subset of V(G) and every bijection onto it.
+    A copy is (sorted vertex tuple, set of image edges).  Tries every
+    bijection onto every candidate vertex set: for a connected H, the
+    connected h-sets of G, since a copy of H spans a connected set; for a
+    disconnected H, every h-subset of V(G).
     """
     h = H.n
     if h > G.n:
         return []
+    if h and _plain_connected(H):
+        subsets = [tuple(sorted(S)) for S in _connected_vertex_sets(G, h)]
+    else:
+        subsets = combinations(range(1, G.n + 1), h)
     copies = set()
     gedges = {frozenset(e) for e in G.edges}
-    for subset in combinations(range(1, G.n + 1), h):
+    for subset in subsets:
         for perm in permutations(subset):
             imgs = [
                 frozenset((perm[u - 1], perm[v - 1])) for (u, v) in H.edges

@@ -65,6 +65,8 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def timed(fn, repeats: int = 3) -> float:
+    """Best of repeats runs of fn in process CPU time, which load from
+    other processes does not inflate, with the collector off."""
     import gc
 
     best = float("inf")
@@ -72,9 +74,9 @@ def timed(fn, repeats: int = 3) -> float:
         gc.collect()
         gc.disable()
         try:
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             fn()
-            best = min(best, time.perf_counter() - t0)
+            best = min(best, time.process_time() - t0)
         finally:
             gc.enable()
     return best

@@ -334,7 +334,9 @@ def test_gen_comment_line_and_family_errors(tmp_path, capsys):
     assert main(["gen", "lex_product", str(g), "x"]) == 2
     assert "non-integer generator parameters: ['x']" in capsys.readouterr().err
     capsys.readouterr()
-    for family, params in (("grid", (2, 3)), ("path", (4,)), ("subdivided_clique", (3, 1))):
+    for family, params in (
+        ("grid", (2, 3)), ("apex_grid", (2, 3)), ("path", (4,)), ("subdivided_clique", (3, 1))
+    ):
         argv = ["gen", family] + [str(p) for p in params]
         assert main(argv) == 0
         fn, arity = FAMILIES[family]

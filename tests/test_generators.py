@@ -3,6 +3,7 @@ import pytest
 from gradkit.core import is_connected
 from gradkit.errors import InputError
 from gradkit.generators import (
+    apex_grid,
     clique,
     cycle,
     grid,
@@ -19,6 +20,13 @@ def test_grid_examples():
     g22 = grid(2, 2)
     assert (g22.n, g22.m) == (4, 4) and all(g22.degree(v) == 2 for v in g22.vertices())
     assert grid(3, 3).m == 12
+
+
+def test_apex_grid_examples():
+    G = apex_grid(3, 4)
+    assert (G.n, G.m) == (13, grid(3, 4).m + 12)
+    assert G.adj[13] == tuple(range(1, 13))
+    assert all(G.adj[v][:-1] == grid(3, 4).adj[v] for v in range(1, 13))
 
 
 def test_subdivided_clique_examples():

@@ -1,13 +1,22 @@
 import random
 import sys
 import threading
-from itertools import combinations
+import time
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradkit.coloring import Coloring, color_classes, connected_unions, greedy_coloring
+from gradkit.coloring import (
+    Coloring,
+    _candidates,
+    certify_low_tdepth,
+    color_classes,
+    connected_unions,
+    greedy_coloring,
+    low_tdepth_coloring,
+)
 from gradkit.core import (
     build_graph,
     connected_sets,
@@ -17,7 +26,17 @@ from gradkit.core import (
 )
 from gradkit.errors import DomainError, InputError, PatternError
 from gradkit.forests import TreeDecomposition, dfs_forest, forest_to_decomposition
-from gradkit.generators import clique, cycle, grid, path, random_regular, star, subdivided_clique
+from gradkit.generators import (
+    apex_grid,
+    clique,
+    cycle,
+    grid,
+    path,
+    random_regular,
+    star,
+    subdivided_clique,
+)
+from gradkit.harness import fit_exponent, small_corpus
 from gradkit.oracles import (
     brute_aut_count,
     brute_copies,
@@ -90,6 +109,24 @@ def test_count_examples():
     assert count_isomorphs(path(4), path(4)).total == 1
     wheel = HOSTS[3][1]
     assert count_isomorphs(wheel, clique(3)).total == 4
+
+
+def test_connected_set_oracle_matches_every_subset_on_the_small_corpus():
+    # brute_copies tries only the connected h-sets for a connected pattern;
+    # every h-subset and every bijection onto it must give the same copies
+    def every_subset(G, H):
+        gedges = {frozenset(e) for e in G.edges}
+        out = set()
+        for sub in combinations(range(1, G.n + 1), H.n):
+            for perm in permutations(sub):
+                imgs = frozenset(frozenset((perm[u - 1], perm[v - 1])) for (u, v) in H.edges)
+                if imgs <= gedges:
+                    out.add((sub, imgs))
+        return out
+
+    for name, G in small_corpus():
+        for H in (path(3), clique(3), path(4), cycle(4), star(3)):
+            assert set(brute_copies(G, H)) == every_subset(G, H), name
 
 
 def test_counts_match_brute_force():
@@ -258,13 +295,13 @@ def test_one_dp_per_distinct_labelled_union(monkeypatch):
     col = Coloring((0,) + tuple(range(1, 65)), 64)
     _, classes, adjm = color_classes(G, col)
     S = frozenset({1, 10, 37, 64})
-    # brute force over 64 choose 4 vertex sets takes about 40 s per C4
-    # count, so C4 takes the grid's own numbers: its 7 x 7 unit squares, 9
-    # of them at a vertex of S (1 + 4 + 4 + 1, less the square holding 1 and 10)
+    # C4 has the grid's own numbers too: its 7 x 7 unit squares, 9 of them
+    # at a vertex of S (1 + 4 + 4 + 1, less the square holding 1 and 10)
     want = {
-        "P3": (brute_count(G, path(3)), brute_count_hitting(G, path(3), S)),
-        "C4": (49, 9),
+        name: (brute_count(G, H), brute_count_hitting(G, H, S))
+        for name, H in (("P3", path(3)), ("C4", cycle(4)))
     }
+    assert want["C4"] == (49, 9)
     for name, H in (("P3", path(3)), ("C4", cycle(4))):
         keys, hit_keys = set(), set()
         for _, verts in connected_unions(classes, adjm, H.n):
@@ -281,6 +318,68 @@ def test_one_dp_per_distinct_labelled_union(monkeypatch):
         del calls[:]
         assert count_isomorphs(G, H, S, coloring=col).total == hitting
         assert len(calls) == len(hit_keys)  # union minus S has < h vertices
+
+
+def _few_colour_candidate(G, p):
+    """The first weak-reachability candidate the certificate passes."""
+    return next(c for c in _candidates(G, p) if certify_low_tdepth(G, c, p))
+
+
+def test_counts_match_the_connected_set_oracle_on_hundreds_of_vertices():
+    # seeded grids and random cubic graphs of 200-1,000 vertices (at most
+    # 240 for 4-vertex patterns, whose few-colour counts take seconds there)
+    # and apex grids up to a = 8, counted under low_tdepth_coloring and under
+    # the few-colour candidate, with and without S, against the oracle
+    rng = random.Random(22)
+
+    def host(family, top):
+        if family == "grid":
+            a = rng.randint(10, 15)
+            return grid(a, rng.randint(-(-200 // a), top // a))
+        if family == "cubic":
+            return random_regular(2 * rng.randint(100, top // 2), 3, rng.randrange(1000))
+        a = rng.randint(5, 8)
+        return apex_grid(a, a)
+
+    P3, C4, K13, P4 = path(3), cycle(4), star(3), path(4)
+    cases = [(P3, "grid"), (P3, "cubic"), (P3, "apex"), (C4, "grid"), (C4, "apex")]
+    cases += [(K13, "cubic"), (K13, "apex"), (P4, "grid"), (P4, "apex")]
+    for H, family in cases:
+        G = host(family, 1000 if H.n == 3 else 240)
+        S = frozenset(rng.sample(range(1, G.n + 1), 3))
+        copies = brute_copies(G, H)
+        want = (len(copies), sum(not S.isdisjoint(verts) for verts, _ in copies))
+        pat = make_pattern(H)
+        p = H.n + 1
+        for col in dict.fromkeys([low_tdepth_coloring(G, p), _few_colour_candidate(G, p)]):
+            got = (
+                count_isomorphs(G, pat, coloring=col).total,
+                count_isomorphs(G, pat, S, coloring=col).total,
+            )
+            assert got == want, (H.edges, family, G.n, col.num_colors)
+
+
+def _p3_closed_form(G):
+    return sum(len(row) * (len(row) - 1) // 2 for row in G.adj[1:])
+
+
+def test_colour_and_count_grow_linearly_on_grids_and_apex_grids():
+    # colour plus count of P3 (count_isomorphs colours at p = 4), in process
+    # CPU time, round-robin over the sizes, best of 3; on apex grids the hub
+    # alone holds C(n - 1, 2) copies, which enumeration lists one by one
+    P3 = make_pattern(path(3))
+    families = [[grid(20, 20), grid(40, 40)], [apex_grid(30, 30), apex_grid(60, 60)]]
+    best = [[float("inf")] * 2 for _ in families]
+    for _ in range(3):
+        for f, hosts in enumerate(families):
+            for i, G in enumerate(hosts):
+                t = time.process_time()
+                total = count_isomorphs(G, P3).total
+                best[f][i] = min(best[f][i], time.process_time() - t)
+                assert total == _p3_closed_form(G)
+    for hosts, times in zip(families, best):
+        points = [(G.n, t) for G, t in zip(hosts, times)]
+        assert fit_exponent(points) <= 1.25, points
 
 
 def test_counting_is_thread_safe():
