@@ -21,16 +21,18 @@ search tries r = 1, 2, ... up to there and keeps the first candidate the
 certificate passes; if none passes, the all-distinct colouring, which is
 always centered, stands in.
 
-Counting reads, for every connected set C of at most p - 1 colours, the
-host rows of the union of C's classes.  The number of row entries it
-reads, the sum of 1 + deg v over those unions, is the cost of a colouring
-here, and the few-colour colouring competes on it with the all-distinct
-one, whose unions are the connected vertex sets of at most p - 1
-vertices.  Both totals are walked lazily, the side behind going next, so
-the first side to finish is no dearer than the other and the choice costs
-about twice the cheaper walk.  The certificate's walk over the candidates,
-failed ones included, is the few-colour side, so a hub host never lists
-its all-distinct sets in full.  Either colouring is certified, and any
+Counting reads, for every connected set C of at most p - 1 colours whose
+classes can hold a copy, the host rows of the union of C's classes.  The
+cost of a colouring here is the number of row entries in the unions of
+every connected set of at most p - 1 colours, the sum of 1 + deg v over
+them, which also takes in the sets counting skips as too small.  The
+few-colour colouring competes on it with the all-distinct one, whose
+unions are the connected vertex sets of at most p - 1 vertices.  Both
+totals are walked lazily, the side behind going next, so the first side
+to finish is no dearer than the other and the choice costs about twice
+the cheaper walk.  The certificate's walk over the candidates, failed
+ones included, is the few-colour side, so a hub host never lists its
+all-distinct sets in full.  Either colouring is certified, and any
 certified colouring gives the same counts, so the race decides only how
 fast counting runs.
 """
@@ -166,17 +168,6 @@ def color_classes(G: Graph, coloring: Coloring) -> tuple[list[int], list[list[in
     return used, classes, adjm
 
 
-def connected_unions(
-    classes: list[list[int]], adjm: list[int], k: int
-) -> Iterator[tuple[int, list[int]]]:
-    """(C, union of the classes of C) for every colour set C of at most k
-    colours that is connected in the quotient, once each; C is a mask over
-    the class indices of color_classes, and the union lists its classes in
-    index order, so it is not sorted."""
-    for C in connected_sets(adjm, k):
-        yield C, [v for i in bit_indices(C) for v in classes[i]]
-
-
 def _certified_costs(G: Graph, coloring: Coloring, p: int) -> Iterator[int]:
     """The certificate, one colour set at a time.
 
@@ -187,17 +178,22 @@ def _certified_costs(G: Graph, coloring: Coloring, p: int) -> Iterator[int]:
     Each set that passes yields the host-row entries its union takes,
     the sum of 1 + deg v over the union: what counting reads to build it.
 
-    A union of at most |C| vertices gets no forest: each of its classes
-    is then one vertex, so all its colours are distinct, which makes it
-    centered with tree-depth at most |C|, and the forest could not fail.
+    Only a set holding a class of more than one vertex gets a union and a
+    forest, by one test of C against the mask of those classes.  In any
+    other set every class is one vertex, so all its colours are distinct,
+    which makes it centered with tree-depth at most |C|, and the forest
+    could not fail.
     """
     colors = coloring.colors
     _, classes, adjm = color_classes(G, coloring)
     weight = [sum(len(G.adj[v]) + 1 for v in cls) for cls in classes]
-    for C, verts in connected_unions(classes, adjm, p - 1):
-        if len(verts) > C.bit_count():
+    multi = sum(1 << i for i, cls in enumerate(classes) if len(cls) > 1)
+    for C in connected_sets(adjm, p - 1):
+        idx = bit_indices(C)
+        if C & multi:
+            verts = [v for i in idx for v in classes[i]]
             centered_parents(local_adjacency(G, verts), [0] + [colors[v] for v in verts])
-        yield sum(weight[i] for i in bit_indices(C))
+        yield sum([weight[i] for i in idx])
 
 
 def certify_low_tdepth(G: Graph, coloring: Coloring, p: int) -> bool:

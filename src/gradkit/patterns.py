@@ -3,11 +3,14 @@
 The host graph is coloured so that any h colour classes induce a subgraph
 of tree-depth at most h.  A copy of a connected pattern on h vertices
 meets at most h colour classes, connected in the colour quotient graph
-(colours adjacent when some host edge joins their classes), so only those
-colour sets are visited, each once, with the union of its classes read off
-the class lists and the host adjacency.  An introduce/forget dynamic
-program walks the union's elimination forest and counts the copies, or
-the induced copies, in it.  A union of exactly h vertices (every union,
+(colours adjacent when some host edge joins their classes), and those
+classes hold at least h vertices.  So only connected colour sets are
+visited, each once, and a set whose mask shows its classes too small to
+hold h vertices, or, with a restriction S, holding no colour of S, is
+dropped by mask tests before any vertex list is built.  The union of a
+visited set's classes is read off the class lists and the host
+adjacency.  An introduce/forget dynamic program walks the union's
+elimination forest and counts the copies, or the induced copies, in it.  A union of exactly h vertices (every union,
 when each colour class is one vertex) is a labelled graph on h local
 ids, of which there are at most 2^(h(h-1)/2); one count or containment
 call keeps a table from those rows to the DP's result, so each distinct
@@ -34,14 +37,16 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Sequence
 
-from .coloring import (
-    Coloring,
-    centered_parents,
-    color_classes,
-    connected_unions,
-    low_tdepth_coloring,
+from .coloring import Coloring, centered_parents, color_classes, low_tdepth_coloring
+from .core import (
+    Graph,
+    _check_vertex,
+    bit_indices,
+    build_graph,
+    connected_sets,
+    is_connected,
+    local_adjacency,
 )
-from .core import Graph, _check_vertex, bit_indices, build_graph, is_connected, local_adjacency
 from .errors import DomainError, InputError, NotCenteredError, PatternError
 from .forests import TreeDecomposition, dfs_parents, validate_decomposition
 
@@ -254,16 +259,41 @@ def _count_in_union(
     return k
 
 
+def _hosting_unions(
+    classes: list[list[int]], adjm: list[int], h: int, s_mask: int = -1
+) -> Iterator[tuple[int, list[int]]]:
+    """(C, union of the classes of C) for every colour set C of at most h
+    colours, connected in the quotient, that can hold a copy of a
+    connected h-vertex pattern meeting the colours of s_mask (every colour
+    by default); C is a mask over the class indices of color_classes, and
+    the union lists its classes in index order, unsorted.
+
+    The test reads the mask alone, before any vertex list is built.  A
+    union of fewer than h vertices holds no copy: so C is skipped when its
+    colours times the largest class size fall short of h, or when all its
+    classes are single vertices and it has fewer than h colours.  A union
+    meets a vertex set S exactly when C holds the colour of a vertex of S,
+    so with s_mask the mask of those colours, C & s_mask == 0 skips it.
+    """
+    largest = max(map(len, classes), default=0)
+    multi = sum(1 << i for i, cls in enumerate(classes) if len(cls) > 1)
+    for C in connected_sets(adjm, h):
+        size = C.bit_count()
+        if size * largest < h or (size < h and not C & multi) or not C & s_mask:
+            continue
+        yield C, [v for i in bit_indices(C) for v in classes[i]]
+
+
 def _contains(G: Graph, pat: Pattern, col: Coloring, induced: bool) -> bool:
     """Does G hold a copy of pat (an induced one, with induced)?  A copy
-    lies in the union of its own colour set, one of the connected unions,
-    and is induced in G iff it is induced in that union, so the scan stops
-    at the first union whose count is positive."""
+    lies in the union of its own colour set, one of the unions
+    _hosting_unions yields, and is induced in G iff it is induced in that
+    union, so the scan stops at the first union whose count is positive."""
     _, classes, adjm = color_classes(G, col)
     table: dict[tuple[tuple[int, ...], ...], int] = {}
     return any(
         _count_in_union(G, verts, col.colors, pat, table, induced)
-        for _, verts in connected_unions(classes, adjm, pat.graph.n)
+        for _, verts in _hosting_unions(classes, adjm, pat.graph.n)
     )
 
 
@@ -273,37 +303,47 @@ def _exact_counts(
     """Nonzero copy counts (of copies meeting S, if given) per exact colour
     set.
 
-    Only colour sets connected in the quotient are visited: the colours of
-    a copy of a connected pattern are.  A union's count is the sum of the
-    exact counts of the colour sets inside it, so a Moebius pass in order
-    of size gives exact[C] = count(union of C) - sum of exact[C'] over the
-    proper subsets C' of C, run on colour-index masks; a disconnected
-    colour set holds no copy and has no entry.  With S, each union that
-    meets S contributes count(union) - count(union - S), the copies in it
-    that meet S.  A union with no copy has no entry: neither has any
+    Only the colour sets _hosting_unions yields are visited: the colours
+    of a copy of a connected pattern are connected in the quotient, their
+    classes hold at least h vertices, and with S they hold a colour of S.
+    A union's count is the sum of the exact counts of the colour sets
+    inside it, so a Moebius pass in order of size gives exact[C] =
+    count(union of C) - sum of exact[C'] over the proper subsets C' of C,
+    run on colour-index masks; a skipped colour set holds no copy and has
+    no entry.  A set of the least size with an entry has no proper subset
+    with one, so its subset walk is skipped: under the all-distinct
+    colouring every entry has h colours, and no walk runs at all.  With
+    S, each union contributes count(union) - count(union - S), the copies
+    in it that meet S.  A union with no copy has no entry: neither has any
     colour set inside it.
     """
     used, classes, adjm = color_classes(G, col)
     colors = col.colors
+    s_mask = -1
+    if S is not None:
+        index = {c: i for i, c in enumerate(used)}
+        s_mask = 0
+        for v in S:
+            s_mask |= 1 << index[colors[v]]
     table: dict[tuple[tuple[int, ...], ...], int] = {}
     union_counts: dict[int, int] = {}
-    for C, verts in connected_unions(classes, adjm, pat.graph.n):
-        if S is not None and S.isdisjoint(verts):
-            continue
+    for C, verts in _hosting_unions(classes, adjm, pat.graph.n, s_mask):
         k = _count_in_union(G, verts, colors, pat, table)
         if S is not None:
             k -= _count_in_union(G, [v for v in verts if v not in S], colors, pat, table)
         if k:
             union_counts[C] = k
     exact: dict[int, int] = {}
+    least = min(map(int.bit_count, union_counts), default=0)
     for C in sorted(union_counts, key=int.bit_count):
         k = union_counts[C]
-        sub = (C - 1) & C
-        while sub:
-            k -= exact.get(sub, 0)
-            sub = (sub - 1) & C
+        if C.bit_count() > least:
+            sub = (C - 1) & C
+            while sub:
+                k -= exact.get(sub, 0)
+                sub = (sub - 1) & C
         exact[C] = k
-    return {frozenset(used[i] for i in bit_indices(C)): k for C, k in exact.items() if k}
+    return {frozenset([used[i] for i in bit_indices(C)]): k for C, k in exact.items() if k}
 
 
 def _check_restriction(G: Graph, S: frozenset[int] | None) -> None:

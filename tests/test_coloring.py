@@ -20,7 +20,7 @@ from gradkit.errors import NotCenteredError, SizeLimitError
 from gradkit.forests import closure
 from gradkit.generators import apex_grid, clique, cycle, grid, path, random_regular, star
 from gradkit.harness import fit_exponent
-from gradkit.oracles import brute_low_tdepth, is_centered, is_p_centered
+from gradkit.oracles import _connected_vertex_sets, brute_low_tdepth, is_centered, is_p_centered
 from gradkit.treedepth import treedepth_exact
 
 from conftest import raw_graphs
@@ -296,6 +296,31 @@ def test_low_tdepth_coloring_picks_the_cheaper_colouring_to_count_with():
         costs = [sum(_certified_costs(G, c, 4)) for c in (few, distinct)]
         assert (costs[0] <= costs[1]) == few_wins, costs
         assert low_tdepth_coloring(G, 4) == (few if few_wins else distinct)
+
+
+def test_certificate_builds_no_forest_where_every_class_is_one_vertex(monkeypatch):
+    # a set of single-vertex classes is centered as it stands: the
+    # certificate yields its costs, 1 + deg v summed over each connected
+    # vertex set of at most p - 1 vertices, without calling
+    # centered_parents; a few-colour colouring still reaches it
+    import gradkit.coloring as coloring
+
+    def refuse(*args):
+        raise AssertionError("centered_parents reached")
+
+    monkeypatch.setattr(coloring, "centered_parents", refuse)
+    for G in (grid(8, 8), random_regular(64, 3, 1)):
+        distinct = Coloring((0,) + tuple(range(1, G.n + 1)), G.n)
+        for p in (3, 4, 5):
+            want = sorted(
+                sum(len(G.adj[v]) + 1 for v in U)
+                for size in range(1, p)
+                for U in _connected_vertex_sets(G, size)
+            )
+            assert sorted(_certified_costs(G, distinct, p)) == want
+        few = next(_candidates(G, 4))
+        with pytest.raises(AssertionError, match="centered_parents reached"):
+            sum(_certified_costs(G, few, 4))
 
 
 def test_low_tdepth_coloring_clique_rainbow():

@@ -13,11 +13,11 @@ from gradkit.coloring import (
     _candidates,
     certify_low_tdepth,
     color_classes,
-    connected_unions,
     greedy_coloring,
     low_tdepth_coloring,
 )
 from gradkit.core import (
+    bit_indices,
     build_graph,
     connected_sets,
     induced_subgraph,
@@ -38,6 +38,7 @@ from gradkit.generators import (
 )
 from gradkit.harness import fit_exponent, small_corpus
 from gradkit.oracles import (
+    _connected_vertex_sets,
     brute_aut_count,
     brute_copies,
     brute_count,
@@ -224,12 +225,17 @@ def coloured_hosts(draw):
 # forest; all colours distinct on a grid: every union is centered
 FALLBACK_CASE = (path(5), Coloring((0, 1, 1, 1, 1, 1), 1), None)
 CENTERED_CASE = (grid(3, 3), _distinct(9), frozenset({2, 5}))
+# classes of at most 2 vertices and h = 4: the size rule drops every
+# single colour and keeps the pairs, and the unit square 1, 2, 6, 5 lies in
+# the pair of classes {1, 6} and {2, 5}; S = {6} is part of class {1, 6}
+PAIRED_CASE = (grid(2, 4), Coloring((0, 1, 2, 3, 4, 2, 1, 5, 6), 6), frozenset({6}))
 
 
 @settings(max_examples=200, deadline=None)
 @given(coloured_hosts(), st.sampled_from(sorted(PATTERNS)))
 @example(FALLBACK_CASE, "P3")
 @example(CENTERED_CASE, "C4")
+@example(PAIRED_CASE, "C4")
 def test_breakdown_matches_brute_force_on_random_colourings(case, pname):
     G, col, S = case
     H = PATTERNS[pname]
@@ -304,7 +310,8 @@ def test_one_dp_per_distinct_labelled_union(monkeypatch):
     assert want["C4"] == (49, 9)
     for name, H in (("P3", path(3)), ("C4", cycle(4))):
         keys, hit_keys = set(), set()
-        for _, verts in connected_unions(classes, adjm, H.n):
+        for C in connected_sets(adjm, H.n):
+            verts = [v for i in bit_indices(C) for v in classes[i]]
             adj = local_adjacency(G, verts)
             if len(verts) == H.n and sum(map(len, adj)) >= 2 * H.m:
                 keys.add(tuple(adj))
@@ -318,6 +325,43 @@ def test_one_dp_per_distinct_labelled_union(monkeypatch):
         del calls[:]
         assert count_isomorphs(G, H, S, coloring=col).total == hitting
         assert len(calls) == len(hit_keys)  # union minus S has < h vertices
+
+
+def test_counting_receives_only_unions_that_can_hold_a_copy(monkeypatch):
+    # under the all-distinct colouring a union is its colour set, so the
+    # unions counted must be exactly the connected h-vertex sets (with S,
+    # those meeting S, each also counted without S), each once; a
+    # containment scan that finds no copy receives the same sets
+    received = []
+
+    def counted(G, verts, *args):
+        received.append(frozenset(verts))
+        return count_in_union(G, verts, *args)
+
+    count_in_union = patterns._count_in_union
+    monkeypatch.setattr(patterns, "_count_in_union", counted)
+    rng = random.Random(23)
+    for G in (grid(8, 8), random_regular(64, 3, 1)):
+        col = _distinct(G.n)
+        S = frozenset(rng.sample(range(1, G.n + 1), 6))
+        for H in (path(3), cycle(4)):
+            sets = _connected_vertex_sets(G, H.n)
+            del received[:]
+            count_isomorphs(G, H, coloring=col)
+            assert len(received) == len(sets) and set(received) == sets
+            del received[:]
+            count_isomorphs(G, H, S, coloring=col)
+            unions = [U for U in received if U & S]
+            hitting = {U for U in sets if U & S}
+            assert len(unions) == len(hitting) and set(unions) == hitting
+            assert sorted(map(sorted, received)) == sorted(
+                sorted(U - R) for U in unions for R in (frozenset(), S)
+            )
+        assert low_tdepth_coloring(G, 4) == col
+        del received[:]
+        assert not decide_containment(G, clique(3), "subgraph")
+        sets = _connected_vertex_sets(G, 3)
+        assert len(received) == len(sets) and set(received) == sets
 
 
 def _few_colour_candidate(G, p):
