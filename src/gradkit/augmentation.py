@@ -63,6 +63,20 @@ a row that is mostly new arcs is its own delta: every arc counts as
 changed, which only adds candidates that change nothing, and saves
 comparing the row entry by entry.
 
+A capped step is insert-only when cap >= 3 and the lightest arc of its
+delta weighs cap - 1, as in the third step on a grid under the cap 4.
+Every candidate it keeps then pairs a changed arc with an arc of weight
+1 and weighs exactly cap, and no arc is heavier than cap, so a candidate
+can insert an absent arc but never lower one.  Such a step pairs the
+changed arcs with the weight-1 heads of the rows, which no such delta
+holds, by presence tests alone.  Transitivity into v walks v's head,
+each source u with the delta of u, and then the delta of v, each source
+u with the head of old[u]; that is the full step's candidates in its
+order.  Fraternity at v pairs each changed arc with v's head and tables
+the pair at cap when neither endpoint's row holds the other.  The
+reverse-arc correction, the orientation of the leftover pairs and the
+digraph build are the same for both kinds of step.
+
 Every row of every digraph in the trace begins with its arcs from the
 unit-weight orientation, in that orientation's order and of weight 1, and
 no later arc weighs 1.  A step keeps a row's old arcs first, in their old
@@ -116,24 +130,19 @@ def _delta(
     return out
 
 
-def _step(
-    dg: ArcListDigraph,
+def _merge(
+    old: Sequence[dict[int, int]],
+    rows: list[dict[int, int]],
     changed: Sequence[Collection[int]],
-    drop_above: int | None,
-) -> tuple[ArcListDigraph, StepStats]:
-    """One step from dg, given the delta changed of the step that built it.
+    cap: float,
+) -> tuple[int, list[tuple[int, int]], dict[int, dict[int, int]]]:
+    """Transitivity and fraternity of a step, with weights compared.
 
-    changed[v] lists, in row order, the sources of the arcs into v that
-    that step added or lowered (see _delta); pass dg.D itself for a full
-    step.  Returns the new digraph and its counters.  The rows of the
-    result list the arcs of dg first, in their old order, then the new
-    arcs in the order they were found.  When nothing changes, dg itself
-    is returned.
+    Writes the new and lowered arcs into rows, copy-on-write, and returns
+    the number of arcs added, the flagged pairs of the reverse-arc
+    correction and the leftover fraternity pairs, left[x][y] for x < y.
     """
-    n = dg.n
-    old = dg.D
-    rows = list(old)  # shared with dg until first written
-    cap = math.inf if drop_above is None else drop_above
+    n = len(old) - 1
 
     # transitivity candidates x -> u -> v with u -> v or x -> u changed,
     # min-merged on the fly; a new arc heavier than its old reverse arc is
@@ -225,6 +234,107 @@ def _step(
                     if ry is old[y]:
                         ry = rows[y] = dict(ry)
                     ry[x] = w
+    return trans_added, flagged, left
+
+
+def _lightest_is(
+    old: Sequence[dict[int, int]], changed: Sequence[Collection[int]], weight: int
+) -> bool:
+    """Whether no arc of the delta changed weighs less than weight."""
+    for ov, dv in zip(old, changed):
+        if dv and min(map(ov.__getitem__, dv)) < weight:
+            return False
+    return True
+
+
+def _insert_only(
+    old: Sequence[dict[int, int]],
+    rows: list[dict[int, int]],
+    changed: Sequence[Collection[int]],
+    cap: int,
+) -> tuple[int, list[tuple[int, int]], dict[int, dict[int, int]]]:
+    """_merge for a delta of arcs of weight cap - 1 only, cap >= 3.
+
+    A kept candidate then pairs a changed arc with an arc of weight 1 and
+    weighs cap, which no arc exceeds: it inserts an absent arc and lowers
+    none, so presence tests replace the weight comparisons.  The arcs of
+    weight 1 are the head of each row, which no such delta holds.
+    """
+    n = len(old) - 1
+    heads: list[list[int]] = []
+    for row in old:
+        head = []
+        for u, w in row.items():
+            if w > 1:
+                break
+            head.append(u)
+        heads.append(head)
+
+    # transitivity into v, in _merge's order: the head arcs u -> v, each
+    # with the delta of u, then the changed arcs u -> v, each with the
+    # head of u.  A new arc whose old reverse arc is lighter is flagged.
+    trans_added = 0
+    flagged: list[tuple[int, int]] = []
+    for v in range(1, n + 1):
+        ov = old[v]
+        row = ov
+        for us, xs_of in ((heads[v], changed), (changed[v], heads)):
+            for u in us:
+                for x in xs_of[u]:
+                    if x == v or x in row:
+                        continue
+                    if row is ov:
+                        row = rows[v] = dict(ov)
+                    row[x] = cap
+                    trans_added += 1
+                    back = old[x].get(v)
+                    if back is not None and back < cap:
+                        flagged.append((x, v))
+
+    # fraternity at v: each changed arc with each head arc; a pair already
+    # joined cannot be lowered, and an unjoined one is tabled at cap
+    left: dict[int, dict[int, int]] = {}
+    for v in range(1, n + 1):
+        dv = changed[v]
+        head = heads[v]
+        if not dv or not head:
+            continue
+        for x in dv:
+            rx = rows[x]
+            for y in head:
+                if y in rx or x in rows[y]:
+                    continue
+                lo, hi = (x, y) if x < y else (y, x)
+                table = left.get(lo)
+                if table is None:
+                    left[lo] = {hi: cap}
+                elif hi not in table:
+                    table[hi] = cap
+    return trans_added, flagged, left
+
+
+def _step(
+    dg: ArcListDigraph,
+    changed: Sequence[Collection[int]],
+    drop_above: int | None,
+) -> tuple[ArcListDigraph, StepStats]:
+    """One step from dg, given the delta changed of the step that built it.
+
+    changed[v] lists, in row order, the sources of the arcs into v that
+    that step added or lowered (see _delta); pass dg.D itself for a full
+    step.  Returns the new digraph and its counters.  The rows of the
+    result list the arcs of dg first, in their old order, then the new
+    arcs in the order they were found.  When nothing changes, dg itself
+    is returned.
+    """
+    n = dg.n
+    old = dg.D
+    rows = list(old)  # shared with dg until first written
+    cap = math.inf if drop_above is None else drop_above
+    if drop_above is not None and drop_above >= 3 and _lightest_is(old, changed, drop_above - 1):
+        trans_added, flagged, left = _insert_only(old, rows, changed, drop_above)
+    else:
+        trans_added, flagged, left = _merge(old, rows, changed, cap)
 
     # reverse-arc correction: a flagged pair also takes the pairs skipped
     # above, at the heads where both of its arcs are unchanged.  Those

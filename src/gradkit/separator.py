@@ -359,13 +359,12 @@ def _ball_growing(G: Graph, l: int) -> tuple[set[int], int]:
         for q in range(cut):
             for v in layers[q]:
                 alive[v] = False
-        if outer > bound:
+        # largest stays at most bound, so outer > bound implies outer >
+        # largest; else no piece beyond the cut is larger, and none is split
+        size = 0
+        if outer > largest:
             size, rest = _keep_big_piece(adj, alive, seeds, outer, bound)
             largest = max(largest, rest)
-        else:
-            size = 0
-            if outer > largest:  # else no piece beyond the cut is larger
-                largest = max(largest, _drop_pieces(adj, alive, seeds))
     return S, largest
 
 

@@ -370,6 +370,57 @@ def test_a_step_that_cannot_add_an_arc_is_not_run(monkeypatch):
         assert len(calls) == runs, c
 
 
+def _steps_by_path(monkeypatch):
+    """Record each run step as (digraph in, digraph out, insert-only?)."""
+    runs = []
+    insert_only = []
+    real_step, real_insert_only = augmentation._step, augmentation._insert_only
+
+    def step(dg, changed, drop_above):
+        insert_only.clear()
+        out, stats = real_step(dg, changed, drop_above)
+        runs.append((dg, out, bool(insert_only)))
+        return out, stats
+
+    def spy(*args):
+        insert_only.append(True)
+        return real_insert_only(*args)
+
+    monkeypatch.setattr(augmentation, "_step", step)
+    monkeypatch.setattr(augmentation, "_insert_only", spy)
+    return runs
+
+
+def test_insert_only_step_runs_and_matches_the_full_step(monkeypatch):
+    # under the cap 4, step 3 of grid 20 x 20 reads a delta of weight-3
+    # arcs only (step 2's is of weight 2, and step 4 is not run), so it
+    # alone runs as presence tests over the weight-1 heads
+    runs = _steps_by_path(monkeypatch)
+    preprocess(grid(20, 20), 4)
+    assert [taken for _, _, taken in runs] == [False, False, True]
+    dg, out, _ = runs[2]
+    assert out is not dg
+    assert _rows(out) == _rows(naive_step(dg, 4)[0])
+
+
+def test_a_delta_with_a_lighter_arc_falls_back(monkeypatch):
+    # random cubic n = 10, seed 11, under the cap 4: step 3's delta holds
+    # 15 arcs of weight 3 and one of weight 2, which can pair with an arc
+    # of weight 2, so that step compares weights
+    G = random_regular(10, 3, 11)
+    runs = _steps_by_path(monkeypatch)
+    augment(G, 4, drop_above=4)
+    assert [taken for _, _, taken in runs] == [False, False, False]
+    dg = orient(G)[0]
+    for before, out, _ in runs:
+        assert _rows(before) == _rows(dg)
+        dg = naive_step(dg, 4)[0]
+        assert _rows(out) == _rows(dg)
+    before, after = runs[1][0].D, runs[1][1].D
+    delta = _delta(before, after, 4)
+    assert sorted(after[v][x] for v in range(1, G.n + 1) for x in delta[v]) == [2] + [3] * 15
+
+
 def test_unchanged_rows_are_shared_between_steps():
     trace = augment(grid(6, 6), 4, drop_above=3)
     for a, b in zip(trace.steps, trace.steps[1:]):
