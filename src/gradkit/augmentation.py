@@ -64,7 +64,9 @@ changed, which only adds candidates that change nothing, and saves
 comparing the row entry by entry.
 
 A capped step is insert-only when cap >= 3 and the lightest arc of its
-delta weighs cap - 1, as in the third step on a grid under the cap 4.
+delta weighs cap - 1, as in the third step on a grid under the cap 4;
+the delta reports its lightest weight as it is built, so choosing the
+kind of step reads no arc again.
 Every candidate it keeps then pairs a changed arc with an arc of weight
 1 and weighs exactly cap, and no arc is heavier than cap, so a candidate
 can insert an absent arc but never lower one.  Such a step pairs the
@@ -108,8 +110,9 @@ class StepStats:
 
 def _delta(
     old: Sequence[dict[int, int]], rows: Sequence[dict[int, int]], drop_above: int | None
-) -> list[Collection[int]]:
-    """Per row, the sources of the arcs of rows not in old with the same weight.
+) -> tuple[list[Collection[int]], float]:
+    """Per row, the sources of the arcs of rows not in old with the same
+    weight, and the least weight among the arcs listed (inf if none).
 
     Each entry lists sources in row order; the weights are read from the
     row.  An untouched row gets _UNCHANGED.  With drop_above, arcs of that
@@ -120,14 +123,21 @@ def _delta(
     """
     cap = math.inf if drop_above is None else drop_above
     out: list[Collection[int]] = []
+    lightest = math.inf
     for row, orow in zip(rows, old):
         if row is orow:
             out.append(_UNCHANGED)
         elif drop_above is None and 2 * len(orow) < len(row):
             out.append(row)
+            lightest = min(lightest, *row.values())
         else:
-            out.append(tuple([x for x, w in row.items() if w < cap and orow.get(x) != w]))
-    return out
+            # the walrus keeps the least listed weight while the list is
+            # built; weights are positive, so the assignment tests true
+            out.append(tuple([
+                x for x, w in row.items()
+                if w < cap and orow.get(x) != w and (w >= lightest or (lightest := w))
+            ]))
+    return out, lightest
 
 
 def _merge(
@@ -237,16 +247,6 @@ def _merge(
     return trans_added, flagged, left
 
 
-def _lightest_is(
-    old: Sequence[dict[int, int]], changed: Sequence[Collection[int]], weight: int
-) -> bool:
-    """Whether no arc of the delta changed weighs less than weight."""
-    for ov, dv in zip(old, changed):
-        if dv and min(map(ov.__getitem__, dv)) < weight:
-            return False
-    return True
-
-
 def _insert_only(
     old: Sequence[dict[int, int]],
     rows: list[dict[int, int]],
@@ -316,22 +316,23 @@ def _insert_only(
 def _step(
     dg: ArcListDigraph,
     changed: Sequence[Collection[int]],
+    lightest: float,
     drop_above: int | None,
 ) -> tuple[ArcListDigraph, StepStats]:
     """One step from dg, given the delta changed of the step that built it.
 
     changed[v] lists, in row order, the sources of the arcs into v that
-    that step added or lowered (see _delta); pass dg.D itself for a full
-    step.  Returns the new digraph and its counters.  The rows of the
-    result list the arcs of dg first, in their old order, then the new
-    arcs in the order they were found.  When nothing changes, dg itself
-    is returned.
+    that step added or lowered, and lightest is the least weight among
+    them (see _delta); pass dg.D itself and 1 for a full step.  Returns
+    the new digraph and its counters.  The rows of the result list the
+    arcs of dg first, in their old order, then the new arcs in the order
+    they were found.  When nothing changes, dg itself is returned.
     """
     n = dg.n
     old = dg.D
     rows = list(old)  # shared with dg until first written
     cap = math.inf if drop_above is None else drop_above
-    if drop_above is not None and drop_above >= 3 and _lightest_is(old, changed, drop_above - 1):
+    if drop_above is not None and drop_above >= 3 and lightest >= drop_above - 1:
         trans_added, flagged, left = _insert_only(old, rows, changed, drop_above)
     else:
         trans_added, flagged, left = _merge(old, rows, changed, cap)
@@ -446,14 +447,15 @@ def augment(G: Graph, c: int, *, drop_above: int | None = None) -> AugmentationT
     f_added: list[int] = []
     f_delta: list[int] = []
     changed: Sequence[Collection[int]] = first.D
+    lightest: float = 1
     for i in range(c):
         dg = steps[-1]
         nxt, stats = dg, StepStats(0, 0, 0)
         if any(changed):
-            nxt, stats = _step(dg, changed, drop_above)
+            nxt, stats = _step(dg, changed, lightest, drop_above)
             changed = ()  # released before the next delta is built
             if i < c - 1:
-                changed = _delta(dg.D, nxt.D, drop_above)
+                changed, lightest = _delta(dg.D, nxt.D, drop_above)
         steps.append(nxt)
         t_added.append(stats.transitivity_added)
         f_added.append(stats.fraternity_added)

@@ -156,15 +156,18 @@ def color_classes(G: Graph, coloring: Coloring) -> tuple[list[int], list[list[in
     colors = coloring.colors
     used = sorted(set(colors[1 : G.n + 1]))
     index = {c: i for i, c in enumerate(used)}
+    of = [0] + [index[c] for c in colors[1 : G.n + 1]]  # vertex -> class index
+    bit = [1 << a for a in of]
     classes: list[list[int]] = [[] for _ in used]
+    adjm = [0] * len(used)  # a class's own bit is cleared below
     for v in range(1, G.n + 1):
-        classes[index[colors[v]]].append(v)
-    adjm = [0] * len(used)
-    for (u, v) in G.edges:
-        a, b = index[colors[u]], index[colors[v]]
-        if a != b:
-            adjm[a] |= 1 << b
-            adjm[b] |= 1 << a
+        a = of[v]
+        classes[a].append(v)
+        mask = adjm[a]
+        for w in G.adj[v]:
+            mask |= bit[w]
+        adjm[a] = mask
+    adjm = [mask & ~(1 << a) for a, mask in enumerate(adjm)]
     return used, classes, adjm
 
 

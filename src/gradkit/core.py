@@ -1,15 +1,18 @@
 """Canonical graph and digraph containers.
 
 Vertices are the integers 1..n everywhere.  A Graph is a simple undirected
-graph stored as a normalized edge list plus symmetric adjacency tuples.  An
-ArcListDigraph is the in-arc list representation: D[v] is a dict from the
-source of each arc ending at v to its weight, in insertion order, so "is
-there an arc x -> y" is x in D[y] and costs O(1).
+graph stored as symmetric, sorted adjacency tuples only; its edge list is
+derived from them on first read and kept.  An ArcListDigraph is the
+in-arc list representation: D[v] is a dict from the source of each arc
+ending at v to its weight, in insertion order, so "is there an arc
+x -> y" is x in D[y] and costs O(1).
 
 Both containers are immutable after construction (no code mutates a
-digraph row once it is built) and safe to share across threads.  The module also holds the small-graph primitives that the exact
-oracles and the counting pipeline share: local_adjacency (the rows of an
-induced subgraph over local ids), neighbour_masks, connected_sets (every
+digraph row once it is built; a Graph's edge tuple is written once, to a
+value every reader computes alike) and safe to share across threads.
+The module also holds the small-graph primitives that the exact oracles
+and the counting pipeline share: local_adjacency (the rows of an induced
+subgraph over local ids), neighbour_masks, connected_sets (every
 connected vertex set of a graph given as neighbour bitmasks), bit_indices
 and induced_radius.
 """
@@ -17,6 +20,7 @@ and induced_radius.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -29,14 +33,25 @@ EdgeList = Sequence[Sequence[int]]  # raw (u, v) pairs, duplicates allowed
 class Graph:
     """Simple undirected graph on vertices 1..n.
 
-    edges holds each edge once as (u, v) with u < v, sorted ascending;
-    adj[v] is the sorted tuple of neighbours of v (adj[0] is unused).
+    adj[v] is the sorted tuple of neighbours of v (adj[0] is unused), and
+    the only stored form of the edges.  Equality and hashing compare n, m
+    and adj.
     """
 
     n: int
     m: int
-    edges: tuple[Edge, ...]
     adj: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """Each edge once as (u, v) with u < v, sorted ascending.
+
+        Read off adj on first access and kept; the algorithms walk adj,
+        so a graph that is only searched never builds it.  Two threads
+        that race on the first read compute equal tuples.
+        """
+        adj = self.adj
+        return tuple([(u, v) for u in range(1, self.n + 1) for v in adj[u] if v > u])
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -80,9 +95,9 @@ def build_graph(n: int, raw_edges: EdgeList) -> Graph:
     """Build a simple Graph from a raw edge list.
 
     Loops are dropped and parallel edges are collapsed.  One pass over the
-    edges fills the neighbour lists, each list is deduplicated and sorted
-    on its own, and the edge list is read off the sorted lists, so the
-    cost is linear in n + len(raw_edges) plus the sorting of the lists.
+    edges fills the neighbour lists, and each list is deduplicated and
+    sorted on its own, so the cost is linear in n + len(raw_edges) plus
+    the sorting of the lists.
     """
     if n < 0:
         raise InputError(f"vertex count {n} is negative")
@@ -95,9 +110,8 @@ def build_graph(n: int, raw_edges: EdgeList) -> Graph:
         if u != v:
             rows[u].append(v)
             rows[v].append(u)
-    adj = tuple(tuple(sorted(set(row))) for row in rows)
-    edges = tuple((u, v) for u in range(1, n + 1) for v in adj[u] if v > u)
-    return Graph(n=n, m=len(edges), edges=edges, adj=adj)
+    adj = tuple([tuple(sorted(set(row))) for row in rows])
+    return Graph(n=n, m=sum(map(len, adj)) // 2, adj=adj)
 
 
 def build_digraph(n: int, arcs: Iterable[Sequence[int]]) -> ArcListDigraph:
@@ -146,15 +160,14 @@ def induced_subgraph(G: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     Returns (subgraph, ids) where ids[i-1] is the original id of vertex i.
     The subgraph is read off G.adj, so the cost is the degree sum over the
     given vertices (plus sorting them), not the size of G.  Relabelling
-    keeps the order, so the adjacency tuples and the edge list come out
-    sorted.
+    keeps the order, so the adjacency tuples come out sorted.
     """
-    ids = sorted(set(vertices))
-    for v in ids:
+    chosen = set(vertices)
+    for v in chosen:
         _check_vertex(v, G.n, "induced_subgraph")
-    adj = local_adjacency(G, ids)
-    edges = tuple((i, j) for i in range(1, len(ids) + 1) for j in adj[i] if j > i)
-    return Graph(n=len(ids), m=len(edges), edges=edges, adj=tuple(adj)), tuple(ids)
+    ids = sorted(chosen)
+    adj = tuple(local_adjacency(G, ids))
+    return Graph(n=len(ids), m=sum(map(len, adj)) // 2, adj=adj), tuple(ids)
 
 
 def local_adjacency(G: Graph, ids: Sequence[int]) -> list[tuple[int, ...]]:
@@ -225,10 +238,12 @@ def is_connected(G: Graph) -> bool:
 def neighbour_masks(G: Graph) -> list[int]:
     """0-based neighbour bitmasks: bit j of adjm[i] is set iff vertices
     i + 1 and j + 1 are adjacent."""
-    adjm = [0] * G.n
-    for (u, v) in G.edges:
-        adjm[u - 1] |= 1 << (v - 1)
-        adjm[v - 1] |= 1 << (u - 1)
+    adjm = []
+    for row in G.adj[1:]:
+        mask = 0
+        for w in row:
+            mask |= 1 << (w - 1)
+        adjm.append(mask)
     return adjm
 
 

@@ -183,13 +183,15 @@ def validate_decomposition(G: Graph, T: TreeDecomposition) -> bool:
             if not 1 <= v <= G.n:
                 return False
             nodes_of.setdefault(v, []).append(i)
-    # each edge is looked up in the bags of its endpoint that lies in fewer
-    for (u, v) in G.edges:
-        nu, nv = nodes_of.get(u, ()), nodes_of.get(v, ())
-        if len(nu) > len(nv):
-            nu, u, v = nv, v, u
-        if not any(v in T.bags[i] for i in nu):
-            return False
+    # each edge is looked up in the bags of its endpoint that lies in fewer;
+    # the edges are read off adj, since counting validates every union
+    for u, row in enumerate(G.adj):
+        for v in row:
+            if v > u:
+                nu, nv = nodes_of.get(u, ()), nodes_of.get(v, ())
+                other, nodes = (v, nu) if len(nu) <= len(nv) else (u, nv)
+                if not any(other in T.bags[i] for i in nodes):
+                    return False
 
     for v in range(1, G.n + 1):
         nodes = nodes_of.get(v)

@@ -29,6 +29,16 @@ def star(leaves: int) -> Graph:
 
 def grid(a: int, b: int) -> Graph:
     """a x b grid; vertex (i, j) is (i-1)*b + j."""
+    return build_graph(a * b, _grid_edges(a, b))
+
+
+def apex_grid(a: int, b: int) -> Graph:
+    """a x b grid plus one vertex, a * b + 1, joined to all the others."""
+    hub = a * b + 1
+    return build_graph(hub, _grid_edges(a, b) + [(v, hub) for v in range(1, hub)])
+
+
+def _grid_edges(a: int, b: int) -> list[tuple[int, int]]:
     if a < 1 or b < 1:
         raise InputError("grid dimensions must be positive")
     edges = []
@@ -39,14 +49,7 @@ def grid(a: int, b: int) -> Graph:
                 edges.append((v, v + 1))
             if i < a:
                 edges.append((v, v + b))
-    return build_graph(a * b, edges)
-
-
-def apex_grid(a: int, b: int) -> Graph:
-    """a x b grid plus one vertex, a * b + 1, joined to all the others."""
-    G = grid(a, b)
-    hub = G.n + 1
-    return build_graph(hub, list(G.edges) + [(v, hub) for v in range(1, hub)])
+    return edges
 
 
 def subdivided_clique(q: int, t: int) -> Graph:

@@ -83,21 +83,22 @@ def orient(G: Graph) -> tuple[ArcListDigraph, DegeneracyOrder]:
     """Orient G acyclically with maximum indegree = degeneracy(G).
 
     The edge {v, w} becomes the arc w -> v when the peeling of
-    degeneracy_order removes v first.  G.edges is sorted, so D[v] lists
-    the neighbours of v removed after it in ascending order.  All arc
+    degeneracy_order removes v first.  D[v] is filled when the walk over
+    the peeling order reaches v, from the neighbours not yet removed;
+    G.adj[v] is sorted, so D[v] lists them in ascending order.  All arc
     weights are 1.
     """
     n = G.n
-    peel = degeneracy_order(n, G.adj)
-    rank = [0] * (n + 1)
-    for i, v in enumerate(peel.order):
-        rank[v] = i
-    D: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for u, v in G.edges:
-        if rank[u] < rank[v]:
-            D[u][v] = 1
-        else:
-            D[v][u] = 1
+    adj = G.adj
+    peel = degeneracy_order(n, adj)
+    removed = [False] * (n + 1)
+    D: list[dict[int, int]] = [{}] * (n + 1)  # rows 1..n are replaced below
+    for v in peel.order:
+        removed[v] = True
+        D[v] = row = {}
+        for w in adj[v]:
+            if not removed[w]:
+                row[w] = 1
     dg = ArcListDigraph(
         n=n,
         m=G.m,

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -58,14 +59,14 @@ def test_fraternity_duplicates_kept():
 
 def test_step_directed_path():
     dg = build_digraph(3, [(1, 2), (2, 3)])
-    out, _ = _step(dg, dg.D, None)
+    out, _ = _step(dg, dg.D, 1, None)
     arcs = {(u, v): w for (u, v, w) in out.arcs()}
     assert arcs == {(1, 2): 1, (2, 3): 1, (1, 3): 2}
 
 
 def test_step_fraternity_one_direction():
     dg = build_digraph(3, [(1, 3), (2, 3)])
-    out, _ = _step(dg, dg.D, None)
+    out, _ = _step(dg, dg.D, 1, None)
     arcs = {(u, v): w for (u, v, w) in out.arcs()}
     assert arcs.get((1, 3)) == 1 and arcs.get((2, 3)) == 1
     assert ((1, 2) in arcs) != ((2, 1) in arcs)
@@ -75,7 +76,7 @@ def test_step_fraternity_one_direction():
 
 def test_step_arcless_identity():
     dg = build_digraph(4, [])
-    out, _ = _step(dg, dg.D, None)
+    out, _ = _step(dg, dg.D, 1, None)
     assert out.m == 0
 
 
@@ -323,10 +324,12 @@ def test_step_reports_its_delta():
     for d in (None, 2, 3, 4):
         for G in SAMPLE:
             dg = orient(G)[0]
-            changed = dg.D
+            changed, lightest = dg.D, 1
             for _ in range(3):
-                out, _ = _step(dg, changed, d)
-                delta = _delta(dg.D, out.D, d)
+                out, _ = _step(dg, changed, lightest, d)
+                delta, lightest = _delta(dg.D, out.D, d)
+                weights = [out.D[v][x] for v in range(1, dg.n + 1) for x in delta[v]]
+                assert lightest == min(weights, default=math.inf), d
                 for v in range(1, dg.n + 1):
                     row, listed = out.D[v], list(delta[v])
                     assert [x for x in row if x in listed] == listed, (d, v)
@@ -338,9 +341,9 @@ def test_step_reports_its_delta():
                         assert all(row[x] < d and x in fresh for x in listed), (d, v)
                 dg, changed = out, delta
     # from a delta with no arcs, nothing changes and dg itself comes back
-    same, stats = _step(dg, [()] * (dg.n + 1), None)
+    same, stats = _step(dg, [()] * (dg.n + 1), math.inf, None)
     assert same is dg and stats == StepStats(0, 0, 0)
-    assert not any(_delta(dg.D, same.D, None))
+    assert _delta(dg.D, same.D, None) == ([()] * (dg.n + 1), math.inf)
 
 
 def test_a_step_that_cannot_add_an_arc_is_not_run(monkeypatch):
@@ -376,9 +379,9 @@ def _steps_by_path(monkeypatch):
     insert_only = []
     real_step, real_insert_only = augmentation._step, augmentation._insert_only
 
-    def step(dg, changed, drop_above):
+    def step(dg, changed, lightest, drop_above):
         insert_only.clear()
-        out, stats = real_step(dg, changed, drop_above)
+        out, stats = real_step(dg, changed, lightest, drop_above)
         runs.append((dg, out, bool(insert_only)))
         return out, stats
 
@@ -417,8 +420,9 @@ def test_a_delta_with_a_lighter_arc_falls_back(monkeypatch):
         dg = naive_step(dg, 4)[0]
         assert _rows(out) == _rows(dg)
     before, after = runs[1][0].D, runs[1][1].D
-    delta = _delta(before, after, 4)
+    delta, lightest = _delta(before, after, 4)
     assert sorted(after[v][x] for v in range(1, G.n + 1) for x in delta[v]) == [2] + [3] * 15
+    assert lightest == 2
 
 
 def test_unchanged_rows_are_shared_between_steps():

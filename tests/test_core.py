@@ -1,8 +1,10 @@
 import io
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gradkit.coloring import low_tdepth_coloring
 from gradkit.core import (
     build_digraph,
     build_graph,
@@ -15,8 +17,12 @@ from gradkit.core import (
     neighbour_masks,
     underlying_graph,
 )
+from gradkit.distance import preprocess
 from gradkit.errors import InputError
+from gradkit.generators import grid
 from gradkit.orientation import orient
+from gradkit.patterns import count_isomorphs
+from gradkit.separator import separate_or_minor, validate
 from gradkit import textio
 
 from conftest import raw_graphs
@@ -57,17 +63,86 @@ def test_build_graph_out_of_range():
         lambda n: st.tuples(
             st.just(n), st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=40)
         )
-    )
+    ),
+    st.data(),
 )
-def test_build_graph_matches_reference(case):
-    # the drawn pairs repeat, hold loops and come in both orientations
+def test_build_graph_matches_reference(case, data):
+    # the drawn pairs repeat, hold loops and come in both orientations.  A
+    # Graph stores n, m and adj; edges is read off adj when first asked for
+    # and kept, and reading it changes neither equality nor the hash
     n, pairs = case
     G = build_graph(n, pairs)
-    want = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
-    assert G.edges == tuple(want) and G.m == len(want)
+    twin = build_graph(n, pairs)
+    want = tuple(sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+    assert "edges" not in vars(G)
+    assert G.edges == want and G.m == len(want)
+    assert vars(G)["edges"] is G.edges
     for v in range(1, n + 1):
         assert G.adj[v] == tuple(sorted({a + b - v for a, b in want if v in (a, b)}))
     assert G.adj[0] == ()
+    assert "edges" not in vars(twin)
+    assert twin == G and hash(twin) == hash(G)
+    W = data.draw(st.lists(st.integers(1, n), max_size=12))
+    sub, ids = induced_subgraph(G, W)
+    again, _ = induced_subgraph(G, W)
+    index = {v: i for i, v in enumerate(ids, 1)}
+    sub_want = tuple((index[u], index[v]) for u, v in want if u in index and v in index)
+    assert "edges" not in vars(sub)
+    assert sub.edges == sub_want and sub.m == len(sub_want)
+    assert again == sub and hash(again) == hash(sub)
+
+
+@pytest.mark.parametrize(
+    "bad, shown", [(0, "0"), (6, "6"), (-1, "-1"), (1.5, "1.5"), ("a", "'a'")]
+)
+def test_bad_vertex_messages(bad, shown):
+    with pytest.raises(InputError) as exc:
+        build_graph(5, [(1, bad)])
+    assert str(exc.value) == f"edge (1, {bad}): vertex {shown} out of range 1..5"
+    with pytest.raises(InputError) as exc:
+        build_graph(5, [(bad, 2)])
+    assert str(exc.value) == f"edge ({bad}, 2): vertex {shown} out of range 1..5"
+    with pytest.raises(InputError) as exc:
+        induced_subgraph(build_graph(5, [(1, 2)]), [1, bad])
+    assert str(exc.value) == f"induced_subgraph: vertex {shown} out of range 1..5"
+
+
+def test_searches_never_build_the_edge_tuple():
+    # the separator, the distance oracle and counting walk adj only, so
+    # the host graph never stores its edge tuple
+    G = grid(30, 30)
+    for l, h in ((4, 6), (1, 3)):
+        assert validate(G, separate_or_minor(G, l, h), l, h)
+    assert "edges" not in vars(G)
+    H = grid(20, 20)
+    preprocess(H, 4)
+    assert "edges" not in vars(H)
+    host = grid(6, 6)
+    P3 = build_graph(3, [(1, 2), (2, 3)])
+    assert count_isomorphs(host, P3, coloring=low_tdepth_coloring(host, 4)).total == 148
+    assert "edges" not in vars(host)
+
+
+def test_threads_reading_edges_at_once_agree():
+    want = tuple(
+        (u, v) for u in range(1, 2501) for v in (u + 1, u + 50)
+        if v <= 2500 and (v == u + 50 or u % 50)
+    )
+    G = grid(50, 50)
+    start = threading.Barrier(8)
+    got = [None] * 8
+
+    def read(i):
+        start.wait()
+        got[i] = G.edges
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(want) == G.m == 4900
+    assert all(edges == want for edges in got)
 
 
 def test_build_digraph_matches_worked_example():
