@@ -135,18 +135,12 @@ def centered_to_forest(G: Graph, coloring: Coloring) -> RootedForest:
 
 
 def greedy_coloring(H: Graph) -> Coloring:
-    """Greedy colouring in reverse degeneracy order, lowest colour first.
+    """Greedy colouring in reverse degeneracy order, lowest colour first:
+    the weak-reachability colouring at r = 1, the first of _candidates.
 
     Uses at most delta_max(H) + 1 colours.
     """
-    colors = [0] * (H.n + 1)
-    for v in reversed(degeneracy_order(H.n, H.adj).order):
-        taken = {colors[w] for w in H.adj[v] if colors[w]}
-        c = 1
-        while c in taken:
-            c += 1
-        colors[v] = c
-    return Coloring(colors=tuple(colors), num_colors=max(colors[1:], default=0))
+    return next(_candidates(H, 2))
 
 
 def color_classes(G: Graph, coloring: Coloring) -> tuple[list[int], list[list[int]], list[int]]:

@@ -183,24 +183,12 @@ def local_adjacency(G: Graph, ids: Sequence[int]) -> list[tuple[int, ...]]:
     return [()] + [tuple([j for w in G.adj[v] if (j := get(w))]) for v in ids]
 
 
-def connected_components(G: Graph, within: Iterable[int] | None = None) -> list[list[int]]:
-    """Connected components (sorted vertex lists) of G, or of G[within].
-
-    Every vertex of within must lie in 1..n (InputError otherwise)."""
-    if within is None:
-        alive = [True] * (G.n + 1)
-        universe: Iterable[int] = range(1, G.n + 1)
-    else:
-        alive = [False] * (G.n + 1)
-        chosen = set(within)
-        for v in chosen:
-            _check_vertex(v, G.n, "connected_components")
-            alive[v] = True
-        universe = sorted(chosen)
+def connected_components(G: Graph) -> list[list[int]]:
+    """Connected components (sorted vertex lists) of G."""
     seen = [False] * (G.n + 1)
     comps: list[list[int]] = []
-    for s in universe:
-        if seen[s] or not alive[s]:
+    for s in range(1, G.n + 1):
+        if seen[s]:
             continue
         comp = [s]
         seen[s] = True
@@ -208,7 +196,7 @@ def connected_components(G: Graph, within: Iterable[int] | None = None) -> list[
         while queue:
             v = queue.pop()
             for w in G.adj[v]:
-                if alive[w] and not seen[w]:
+                if not seen[w]:
                     seen[w] = True
                     comp.append(w)
                     queue.append(w)

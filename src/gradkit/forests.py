@@ -126,9 +126,6 @@ class TreeDecomposition:
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=1) - 1
 
-    def node_count(self) -> int:
-        return len(self.bags)
-
 
 def forest_to_decomposition(F: RootedForest) -> TreeDecomposition:
     """Node 0 has an empty bag and node v the root path of v; the tree
@@ -147,65 +144,64 @@ def forest_to_decomposition(F: RootedForest) -> TreeDecomposition:
     return TreeDecomposition(bags=tuple(bags), tree_edges=edges)
 
 
+def _tree_parents(T: TreeDecomposition) -> list[int] | None:
+    """The parent of each node of T, -1 at node 0, with the tree rooted at
+    node 0; None if T's edges are not a tree on the nodes 0..t-1."""
+    t = len(T.bags)
+    if t == 0 or len(T.tree_edges) != t - 1:
+        return None
+    node_adj: list[list[int]] = [[] for _ in range(t)]
+    for (a, b) in T.tree_edges:
+        if not (0 <= a < t and 0 <= b < t):
+            return None
+        node_adj[a].append(b)
+        node_adj[b].append(a)
+    parent = [-1] * t
+    order = [0]
+    seen = [False] * t
+    seen[0] = True
+    for a in order:
+        for b in node_adj[a]:
+            if not seen[b]:
+                seen[b] = True
+                parent[b] = a
+                order.append(b)
+    return parent if len(order) == t else None  # t - 1 edges, connected: a tree
+
+
 def validate_decomposition(G: Graph, T: TreeDecomposition) -> bool:
     """Check the two tree-decomposition conditions against G.
 
     Every G-edge must sit inside some bag, and for each vertex the nodes
-    whose bags contain it must induce a connected subtree.
+    whose bags contain it must induce a connected subtree.  With the tree
+    rooted at node 0, a vertex's nodes form one subtree exactly when a
+    single node holding it, its top, is the root or has a parent whose bag
+    lacks it.  Then an edge uv lies in some bag exactly when v is in the
+    bag of u's top or u in the bag of v's top: the deeper of the two tops
+    lies on the tree path between the other and a node holding both.
     """
-    t = T.node_count()
-    if t == 0:
+    if not T.bags:
         return G.n == 0
-    node_adj: list[list[int]] = [[] for _ in range(t)]
-    for (a, b) in T.tree_edges:
-        if not (0 <= a < t and 0 <= b < t):
-            return False
-        node_adj[a].append(b)
-        node_adj[b].append(a)
-    if len(T.tree_edges) != t - 1:
-        return False  # not a tree
-    # connectivity of the tree itself
-    seen = [False] * t
-    stack = [0]
-    seen[0] = True
-    while stack:
-        a = stack.pop()
-        for b in node_adj[a]:
-            if not seen[b]:
-                seen[b] = True
-                stack.append(b)
-    if not all(seen):
+    parent = _tree_parents(T)
+    if parent is None:
         return False
-
-    nodes_of: dict[int, list[int]] = {}
-    for i, b in enumerate(T.bags):
-        for v in b:
+    top = [-1] * (G.n + 1)
+    for i, bag in enumerate(T.bags):
+        above = T.bags[parent[i]] if parent[i] >= 0 else ()
+        for v in bag:
             if not 1 <= v <= G.n:
                 return False
-            nodes_of.setdefault(v, []).append(i)
-    # each edge is looked up in the bags of its endpoint that lies in fewer;
-    # the edges are read off adj, since counting validates every union
-    for u, row in enumerate(G.adj):
-        for v in row:
-            if v > u:
-                nu, nv = nodes_of.get(u, ()), nodes_of.get(v, ())
-                other, nodes = (v, nu) if len(nu) <= len(nv) else (u, nv)
-                if not any(other in T.bags[i] for i in nodes):
-                    return False
-
-    for v in range(1, G.n + 1):
-        nodes = nodes_of.get(v)
-        if not nodes:
-            return False  # every vertex must appear somewhere
-        want = set(nodes)
-        seen_v = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            a = stack.pop()
-            for b in node_adj[a]:
-                if b in want and b not in seen_v:
-                    seen_v.add(b)
-                    stack.append(b)
-        if seen_v != want:
-            return False
-    return True
+            if v not in above:
+                if top[v] >= 0:
+                    return False  # a second top: v's nodes are not one subtree
+                top[v] = i
+    if -1 in top[1:]:
+        return False  # every vertex must appear somewhere
+    # the edges are read off adj, so no edge tuple is built
+    bags = T.bags
+    return all(
+        v in bags[top[u]] or u in bags[top[v]]
+        for u, row in enumerate(G.adj)
+        for v in row
+        if v > u
+    )

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from typing import Iterator, Sequence
 
 from .coloring import Coloring, centered_parents, color_classes, low_tdepth_coloring
@@ -48,7 +47,7 @@ from .core import (
     local_adjacency,
 )
 from .errors import DomainError, InputError, NotCenteredError, PatternError
-from .forests import TreeDecomposition, dfs_parents, validate_decomposition
+from .forests import TreeDecomposition, _tree_parents, dfs_parents, validate_decomposition
 
 DEFAULT_PATTERN_LIMIT = 5
 
@@ -185,25 +184,10 @@ def count_on_decomposition(G_part: Graph, T: TreeDecomposition, H: Pattern | Gra
     if G_part.n == 0 or pat.graph.n > G_part.n:
         return 0
 
-    t = T.node_count()
-    node_adj: list[list[int]] = [[] for _ in range(t)]
-    for (a, b) in T.tree_edges:
-        node_adj[a].append(b)
-        node_adj[b].append(a)
-    parent_node = [-1] * t
-    order = [0]
-    seen = [False] * t
-    seen[0] = True
-    for a in order:
-        for b in node_adj[a]:
-            if not seen[b]:
-                seen[b] = True
-                parent_node[b] = a
-                order.append(b)
-    intro: list[list[int]] = []
-    for i in range(t):
-        above = T.bags[parent_node[i]] if parent_node[i] >= 0 else frozenset()
-        intro.append(sorted(T.bags[i] - above))
+    parent_node = _tree_parents(T)
+    intro = [
+        sorted(bag - T.bags[p] if p >= 0 else bag) for bag, p in zip(T.bags, parent_node)
+    ]
 
     # walk the tree of nodes as a forest on 1..t, node i being i + 1
     events: list[int] = []
@@ -497,28 +481,22 @@ def decide_containment(G: Graph, H: Pattern | Graph, mode: str) -> bool:
 
 @lru_cache(maxsize=8)
 def _iso_classes(p: int) -> tuple[Graph, ...]:
-    """One representative per isomorphism class of graphs with <= p vertices."""
-    reps: dict[tuple, Graph] = {}
+    """One representative per isomorphism class of graphs with <= p
+    vertices, sorted by order, size and edges.
+
+    Each graph on 1..q is kept unless a kept one of the same order and
+    size takes an embedding of it: with equal order and size, an embedding
+    is an isomorphism.
+    """
+    reps: dict[tuple[int, int], list[Graph]] = {}
     for q in range(1, p + 1):
         pairs = [(u, v) for u in range(1, q + 1) for v in range(u + 1, q + 1)]
         for bits in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-            key_best = None
-            for perm in permutations(range(1, q + 1)):
-                relabeled = tuple(
-                    sorted(
-                        (min(perm[u - 1], perm[v - 1]), max(perm[u - 1], perm[v - 1]))
-                        for (u, v) in edges
-                    )
-                )
-                if key_best is None or relabeled < key_best:
-                    key_best = relabeled
-            key = (q, key_best)
-            if key not in reps:
-                reps[key] = build_graph(q, edges)
-    return tuple(
-        reps[k] for k in sorted(reps, key=lambda k: (k[0], len(k[1]), k[1]))
-    )
+            M = build_graph(q, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+            same = reps.setdefault((q, M.m), [])
+            if all(next(_embeddings(R.adj, M), None) is None for R in same):
+                same.append(M)
+    return tuple(sorted((M for ms in reps.values() for M in ms), key=lambda M: (M.n, M.m, M.edges)))
 
 
 def exists_small_model(G: Graph, p: int, pred) -> frozenset[int] | None:

@@ -221,17 +221,17 @@ def test_criterion_3_distance_oracle_exactness():
         f"{checked} queries, {mismatches} mismatches",
     )
 
-    # mean query time at fixed k=4 should not drift with n
+    # mean query time at fixed k=4, in process CPU time, should not drift with n
     means = []
     for name, build, _ in SAMPLED_DISTANCE_HOSTS[:3]:
         G = build()
         index = preprocess(G, 4)
         rng = random.Random(7)
         pairs = [(rng.randint(1, G.n), rng.randint(1, G.n)) for _ in range(N_SAMPLED_PAIRS)]
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         for (x, y) in pairs:
             index.query(x, y)
-        means.append((time.perf_counter() - t0) / len(pairs))
+        means.append((time.process_time() - t0) / len(pairs))
     ratio = max(means) / min(means)
     report(
         "criterion-3 query time independent of n within 2x (grids, k=4)",
@@ -498,7 +498,7 @@ def test_criterion_7_separator_certification():
             if len(outcome.vertices) > 4 * (n / l + 4 * l * h * h * math.log2(n)):
                 bad.append((name, "size bound"))
             rest = [v for v in range(1, n + 1) if v not in outcome.vertices]
-            sizes = [len(c) for c in connected_components(G, within=rest)]
+            sizes = [len(c) for c in connected_components(induced_subgraph(G, rest)[0])]
             if sizes and max(sizes) > -(-2 * n // 3):
                 bad.append((name, "balance"))
         else:

@@ -19,8 +19,9 @@ from gradkit.core import build_graph, connected_components, induced_subgraph, lo
 from gradkit.errors import NotCenteredError, SizeLimitError
 from gradkit.forests import closure
 from gradkit.generators import apex_grid, clique, cycle, grid, path, random_regular, star
-from gradkit.harness import fit_exponent
+from gradkit.harness import fit_exponent, small_corpus
 from gradkit.oracles import _connected_vertex_sets, brute_low_tdepth, is_centered, is_p_centered
+from gradkit.orientation import degeneracy_order
 from gradkit.treedepth import treedepth_exact
 
 from conftest import raw_graphs
@@ -30,7 +31,7 @@ def brute_is_p_centered(G, col, p):
     """Independent check over all vertex subsets that induce a connected graph."""
     for size in range(1, G.n + 1):
         for W in combinations(range(1, G.n + 1), size):
-            comps = connected_components(G, within=W)
+            comps = connected_components(induced_subgraph(G, W)[0])
             if len(comps) != 1:
                 continue
             counts = {}
@@ -196,7 +197,8 @@ def _reference_parents(G, colors):
         parent[root] = par
         rest = [v for v in comp if v != root]
         if rest:
-            todo += [(sub, root) for sub in connected_components(G, within=rest)]
+            sub, ids = induced_subgraph(G, rest)
+            todo += [([ids[v - 1] for v in c], root) for c in connected_components(sub)]
     return parent
 
 
@@ -247,10 +249,13 @@ def test_centered_to_forest_grows_linearly_on_ruler_paths():
 
 
 def test_greedy_coloring_proper():
-    for G in [grid(3, 4), clique(5), random_regular(12, 3, 3)]:
+    # proper, within the docstring's bound of delta_max + 1 colours
+    hosts = [("grid(3,4)", grid(3, 4)), ("K5", clique(5)), ("cubic 12", random_regular(12, 3, 3))]
+    for name, G in hosts + small_corpus():
         col = greedy_coloring(G)
+        assert col.num_colors <= degeneracy_order(G.n, G.adj).delta_max + 1, name
         for (u, v) in G.edges:
-            assert col.colors[u] != col.colors[v]
+            assert col.colors[u] != col.colors[v], name
 
 
 def test_low_tdepth_coloring_edgeless():
@@ -340,7 +345,7 @@ def test_low_tdepth_coloring_p7():
         sizes.setdefault(col.colors[v], []).append(v)
     singletons = [vs[0] for vs in sizes.values() if len(vs) == 1]
     assert any(
-        len(connected_components(G, within=[u for u in range(1, 8) if u != s])) > 1
+        len(connected_components(induced_subgraph(G, [u for u in range(1, 8) if u != s])[0])) > 1
         for s in singletons
     )
 

@@ -289,16 +289,8 @@ def test_induced_radius():
 def test_connected_components():
     G = build_graph(6, [(1, 2), (4, 5)])
     assert connected_components(G) == [[1, 2], [3], [4, 5], [6]]
-    assert connected_components(G, within=[1, 4, 5]) == [[1], [4, 5]]
-
-
-def test_connected_components_checks_within():
-    from gradkit.generators import path
-
-    # -1 would read the last slot, 0 the unused one, 6 past the end
-    for within in ([-1], [0, 1], [6]):
-        with pytest.raises(InputError):
-            connected_components(path(5), within=within)
+    sub, ids = induced_subgraph(G, [1, 4, 5])
+    assert [[ids[v - 1] for v in c] for c in connected_components(sub)] == [[1], [4, 5]]
 
 
 @given(raw_graphs())

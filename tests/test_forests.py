@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -140,3 +141,93 @@ def test_validate_decomposition_negatives():
         assert not validate_decomposition(H, TreeDecomposition(bags=bags, tree_edges=chain))
         covered = bags[:3] + (frozenset({a, b, 5}),)
         assert validate_decomposition(H, TreeDecomposition(bags=covered, tree_edges=chain))
+
+
+def plain_is_decomposition(G, T):
+    """The definition, written out for t >= 1 nodes: the tree edges form a
+    tree on 0..t-1, every bag holds vertices of G only, every vertex and
+    every edge lies in some bag, and each vertex's nodes are connected by
+    a search through the tree edges between them."""
+    t = len(T.bags)
+    nodes = range(t)
+    if len(T.tree_edges) != t - 1 or any(a not in nodes or b not in nodes for a, b in T.tree_edges):
+        return False
+
+    def connected(within):
+        within = set(within)
+        if not within:
+            return False
+        start = min(within)
+        reached, todo = {start}, [start]
+        while todo:
+            a = todo.pop()
+            for x, y in T.tree_edges:
+                for b in ((y,) if x == a else ()) + ((x,) if y == a else ()):
+                    if b in within and b not in reached:
+                        reached.add(b)
+                        todo.append(b)
+        return reached == within
+
+    if not connected(nodes):
+        return False
+    if any(not 1 <= v <= G.n for bag in T.bags for v in bag):
+        return False
+    if any(not any({u, v} <= bag for bag in T.bags) for u, v in G.edges):
+        return False
+    return all(connected(i for i in nodes if v in T.bags[i]) for v in range(1, G.n + 1))
+
+
+def _random_decomposition(rng):
+    """A graph on at most 6 vertices and a decomposition of 1..7 nodes:
+    half are built valid and then, now and then, broken (an uncovered edge,
+    an extra or missing bag entry, an out-of-range tree edge); the rest
+    have random bags, vertex ids -1..n + 1, and random or tree edges."""
+    n, t = rng.randint(0, 6), rng.randint(1, 7)
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    if rng.random() < 0.5:
+        edges = [(rng.randrange(i), i) for i in range(1, t)]
+        bags = [set() for _ in range(t)]
+        for v in range(1, n + 1):
+            # a random connected node set: grow from one node along the tree
+            got = {rng.randrange(t)}
+            for a, b in edges * 2:
+                if (a in got) != (b in got) and rng.random() < 0.4:
+                    got |= {a, b}
+            for i in got:
+                bags[i].add(v)
+        E = [e for e in pairs if any(set(e) <= B for B in bags) and rng.random() < 0.7]
+        r = rng.random()
+        if r < 0.1 and pairs:
+            E.append(rng.choice(pairs))
+        elif r < 0.2:
+            bags[rng.randrange(t)].add(rng.randint(1, n + 1))
+        elif r < 0.3:
+            B = bags[rng.randrange(t)]
+            B.discard(min(B, default=0))
+        elif r < 0.35 and edges:
+            edges[rng.randrange(len(edges))] = (rng.randint(-1, t), rng.randint(0, t))
+    else:
+        E = [e for e in pairs if rng.random() < 0.4]
+        bags = [{rng.randint(-1, n + 1) for _ in range(rng.randint(0, 4))} for _ in range(t)]
+        if rng.random() < 0.5:
+            edges = [(rng.randrange(i), i) for i in range(1, t)]
+        else:
+            edges = [(rng.randint(-1, t), rng.randint(-1, t)) for _ in range(rng.randint(0, t))]
+    edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
+    T = TreeDecomposition(bags=tuple(map(frozenset, bags)), tree_edges=tuple(edges))
+    return build_graph(n, sorted(set(E))), T
+
+
+def test_validate_decomposition_matches_the_definition():
+    rng = random.Random(26)
+    verdicts = []
+    for _ in range(4000):
+        G, T = _random_decomposition(rng)
+        want = plain_is_decomposition(G, T)
+        assert validate_decomposition(G, T) == want, (G.n, G.edges, T)
+        verdicts.append(want)
+    # both verdicts are well represented
+    assert 1000 <= sum(verdicts) <= 3000, sum(verdicts)
+    # no nodes: valid for the empty graph only
+    assert validate_decomposition(build_graph(0, []), TreeDecomposition(bags=(), tree_edges=()))
+    assert not validate_decomposition(path(1), TreeDecomposition(bags=(), tree_edges=()))

@@ -128,12 +128,12 @@ def test_subdivided_clique_rank0_density_window():
 
 def brute_grad(G, r):
     """Fully independent grad: enumerate balls, then all disjoint families."""
-    from gradkit.core import connected_components
+    from gradkit.core import connected_components, induced_subgraph
 
     balls = []
     for size in range(1, G.n + 1):
         for W in combinations(range(1, G.n + 1), size):
-            if len(connected_components(G, within=W)) != 1:
+            if len(connected_components(induced_subgraph(G, W)[0])) != 1:
                 continue
             ecc = []
             for c in W:

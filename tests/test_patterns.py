@@ -103,6 +103,18 @@ def test_automorphism_count_matches_permutation_search():
             assert make_pattern(M).aut_count == aut, M.edges
 
 
+def test_iso_classes_are_the_graphs_up_to_isomorphism():
+    # 1, 2, 4, 11 and 34 graphs on 1..5 vertices (OEIS A000088), and no two
+    # of the same order and size isomorphic by the permutation oracle
+    classes = _iso_classes(5)
+    assert [sum(M.n == q for M in classes) for q in range(1, 6)] == [1, 2, 4, 11, 34]
+    assert len(classes) == 52
+    assert classes == tuple(sorted(classes, key=lambda M: (M.n, M.m, M.edges)))
+    for M, N in combinations(classes, 2):
+        if (M.n, M.m) == (N.n, N.m):
+            assert not brute_has_subgraph(M, N), (M.edges, N.edges)
+
+
 def test_count_examples():
     assert count_isomorphs(path(3), path(2)).total == 2
     assert count_isomorphs(clique(3), path(3)).total == 3
