@@ -21,8 +21,11 @@ search tries r = 1, 2, ... up to there and keeps the first candidate the
 certificate passes; if none passes, the all-distinct colouring, which is
 always centered, stands in.
 
-Counting reads, for every connected set C of at most p - 1 colours whose
-classes can hold a copy, the host rows of the union of C's classes.  The
+The colour quotient is given as neighbour tuples of class indices, and
+colour sets come from core.connected_sets as tuples of those indices, so
+a set costs time in its size, not in the number of colours.  Counting
+reads, for every connected set C of at most p - 1 colours whose classes
+can hold a copy, the host rows of the union of C's classes.  The
 cost of a colouring here is the number of row entries in the unions of
 every connected set of at most p - 1 colours, the sum of 1 + deg v over
 them, which also takes in the sets counting skips as too small.  The
@@ -42,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import Graph, bit_indices, connected_sets, local_adjacency
+from .core import Graph, connected_sets, local_adjacency
 from .errors import DomainError, NotCenteredError
 from .forests import RootedForest, make_forest
 from .orientation import degeneracy_order
@@ -143,26 +146,26 @@ def greedy_coloring(H: Graph) -> Coloring:
     return next(_candidates(H, 2))
 
 
-def color_classes(G: Graph, coloring: Coloring) -> tuple[list[int], list[list[int]], list[int]]:
+def color_classes(
+    G: Graph, coloring: Coloring
+) -> tuple[list[int], list[list[int]], list[tuple[int, ...]]]:
     """The sorted used colours, the sorted vertex list of each, and the
-    colour quotient as neighbour masks over their indices: colours c != d
-    are adjacent when a host edge joins their classes."""
+    colour quotient as sorted neighbour tuples over their indices: colours
+    c != d are adjacent when a host edge joins their classes."""
     colors = coloring.colors
     used = sorted(set(colors[1 : G.n + 1]))
     index = {c: i for i, c in enumerate(used)}
     of = [0] + [index[c] for c in colors[1 : G.n + 1]]  # vertex -> class index
-    bit = [1 << a for a in of]
     classes: list[list[int]] = [[] for _ in used]
-    adjm = [0] * len(used)  # a class's own bit is cleared below
     for v in range(1, G.n + 1):
-        a = of[v]
-        classes[a].append(v)
-        mask = adjm[a]
-        for w in G.adj[v]:
-            mask |= bit[w]
-        adjm[a] = mask
-    adjm = [mask & ~(1 << a) for a, mask in enumerate(adjm)]
-    return used, classes, adjm
+        classes[of[v]].append(v)
+    adj = G.adj
+    quotient = []
+    for a, cls in enumerate(classes):
+        near = {of[w] for v in cls for w in adj[v]}
+        near.discard(a)
+        quotient.append(tuple(sorted(near)))
+    return used, classes, quotient
 
 
 def _certified_costs(G: Graph, coloring: Coloring, p: int) -> Iterator[int]:
@@ -176,21 +179,20 @@ def _certified_costs(G: Graph, coloring: Coloring, p: int) -> Iterator[int]:
     the sum of 1 + deg v over the union: what counting reads to build it.
 
     Only a set holding a class of more than one vertex gets a union and a
-    forest, by one test of C against the mask of those classes.  In any
-    other set every class is one vertex, so all its colours are distinct,
-    which makes it centered with tree-depth at most |C|, and the forest
-    could not fail.
+    forest, by one test of C's class indices against the set of those
+    classes.  In any other set every class is one vertex, so all its
+    colours are distinct, which makes it centered with tree-depth at most
+    |C|, and the forest could not fail.
     """
     colors = coloring.colors
-    _, classes, adjm = color_classes(G, coloring)
+    _, classes, quotient = color_classes(G, coloring)
     weight = [sum(len(G.adj[v]) + 1 for v in cls) for cls in classes]
-    multi = sum(1 << i for i, cls in enumerate(classes) if len(cls) > 1)
-    for C in connected_sets(adjm, p - 1):
-        idx = bit_indices(C)
-        if C & multi:
-            verts = [v for i in idx for v in classes[i]]
+    multi = {i for i, cls in enumerate(classes) if len(cls) > 1}
+    for C in connected_sets(quotient, p - 1):
+        if not multi.isdisjoint(C):
+            verts = [v for i in C for v in classes[i]]
             centered_parents(local_adjacency(G, verts), [0] + [colors[v] for v in verts])
-        yield sum([weight[i] for i in idx])
+        yield sum([weight[i] for i in C])
 
 
 def certify_low_tdepth(G: Graph, coloring: Coloring, p: int) -> bool:

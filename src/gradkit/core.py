@@ -13,8 +13,8 @@ value every reader computes alike) and safe to share across threads.
 The module also holds the small-graph primitives that the exact oracles
 and the counting pipeline share: local_adjacency (the rows of an induced
 subgraph over local ids), neighbour_masks, connected_sets (every
-connected vertex set of a graph given as neighbour bitmasks), bit_indices
-and induced_radius.
+connected set of at most k indices of a graph given as neighbour lists,
+as a tuple) and induced_radius.
 """
 
 from __future__ import annotations
@@ -94,22 +94,27 @@ def _check_vertex(x: int, n: int, what: str) -> None:
 def build_graph(n: int, raw_edges: EdgeList) -> Graph:
     """Build a simple Graph from a raw edge list.
 
-    Loops are dropped and parallel edges are collapsed.  One pass over the
-    edges fills the neighbour lists, and each list is deduplicated and
+    Loops are dropped and parallel edges are collapsed, and an edge with
+    fewer than two entries raises InputError.  One pass over the edges
+    fills the neighbour lists, and each list is deduplicated and
     sorted on its own, so the cost is linear in n + len(raw_edges) plus
     the sorting of the lists.
     """
     if n < 0:
         raise InputError(f"vertex count {n} is negative")
     rows: list[list[int]] = [[] for _ in range(n + 1)]
-    for pair in raw_edges:
-        u, v = pair[0], pair[1]
-        if not (isinstance(u, int) and 1 <= u <= n and isinstance(v, int) and 1 <= v <= n):
-            _check_vertex(u, n, f"edge ({u}, {v})")
-            _check_vertex(v, n, f"edge ({u}, {v})")
-        if u != v:
-            rows[u].append(v)
-            rows[v].append(u)
+    pair = None
+    try:
+        for pair in raw_edges:
+            u, v = pair[0], pair[1]
+            if not (isinstance(u, int) and 1 <= u <= n and isinstance(v, int) and 1 <= v <= n):
+                _check_vertex(u, n, f"edge ({u}, {v})")
+                _check_vertex(v, n, f"edge ({u}, {v})")
+            if u != v:
+                rows[u].append(v)
+                rows[v].append(u)
+    except IndexError:  # the range test comes first, so only a short edge gets here
+        raise InputError(f"edge {pair!r} has fewer than two entries") from None
     adj = tuple([tuple(sorted(set(row))) for row in rows])
     return Graph(n=n, m=sum(map(len, adj)) // 2, adj=adj)
 
@@ -235,40 +240,39 @@ def neighbour_masks(G: Graph) -> list[int]:
     return adjm
 
 
-def connected_sets(adjm: Sequence[int], k: int) -> Iterator[int]:
-    """Every nonempty mask of at most k bits that is connected under adjm, once.
+def connected_sets(nbrs: Sequence[Sequence[int]], k: int) -> Iterator[tuple[int, ...]]:
+    """Every connected set of at most k indices under nbrs, once, as a tuple.
 
-    adjm[i] is the neighbour mask of bit i.  This is the ESU enumerator of
-    Wernicke ("Efficient detection of network motifs", IEEE/ACM TCBB
-    2006): the sets whose lowest bit is s grow from s through neighbours
-    above s, and a branch never takes a bit that an earlier sibling branch
-    took, so no set is reached twice.  Sets come in depth-first pre-order.
+    nbrs[i] lists the neighbours of index i (not i itself), for i in
+    0..len(nbrs) - 1.  This is the ESU enumerator of Wernicke ("Efficient
+    detection of network motifs", IEEE/ACM TCBB 2006): the sets whose
+    least index is s grow from s, and a set's extension holds the indices
+    above s that its children may add.  A child takes one index w of the
+    extension, keeps the indices after w, and adds the neighbours of w
+    above s outside the closed neighbourhood of the set, so no set is
+    reached twice.  Each stack entry is (set, extension, closed
+    neighbourhood); a set of k - 1 yields its children from its extension
+    without pushing them.  A tuple lists s first, then the indices in the
+    order they were added, not sorted.
     """
-    for s in range(len(adjm) if k > 0 else 0):
-        above = -1 << (s + 1)
-        stack = [(1 << s, adjm[s] & above, 0, 1)]  # (set, frontier, banned, size)
+    for s in range(len(nbrs) if k > 0 else 0):
+        yield (s,)
+        if k == 1:
+            continue
+        ext = [u for u in nbrs[s] if u > s]
+        stack = [((s,), ext, frozenset(nbrs[s]).union((s,)))]
         while stack:
-            S, frontier, banned, size = stack.pop()
-            yield S
-            if size == k:
+            T, ext, closed = stack.pop()
+            if len(T) == k - 1:
+                for w in ext:
+                    yield T + (w,)
                 continue
-            ext = frontier & ~banned
-            while ext:  # highest bit first, so the lowest is popped first
-                high = 1 << (ext.bit_length() - 1)
-                ext ^= high
-                grown = S | high
-                reach = (frontier | adjm[high.bit_length() - 1] & above) & ~grown
-                stack.append((grown, reach, banned | ext, size + 1))
-
-
-def bit_indices(mask: int) -> list[int]:
-    """The positions of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+            inner = len(T) + 1 < k - 1  # do the children grow children?
+            for i, w in enumerate(ext):
+                grown = T + (w,)
+                yield grown
+                new = [u for u in nbrs[w] if u > s and u not in closed]
+                stack.append((grown, ext[i + 1 :] + new, closed.union(new) if inner else closed))
 
 
 def induced_radius(G: Graph, vertices: Iterable[int]) -> int | None:

@@ -119,10 +119,11 @@ def grad(G: Graph, r: int, *, limit: int | None = None) -> GradValue:
     if r == 0:
         ball_masks = [1 << i for i in range(n)]
     else:
+        nbrs = [[w - 1 for w in row] for row in G.adj[1:]]
         ball_masks = [
-            S
-            for S in connected_sets(adjm, n)
-            if induced_radius(G, [i + 1 for i in range(n) if S >> i & 1]) <= r
+            sum(1 << i for i in S)
+            for S in connected_sets(nbrs, n)
+            if induced_radius(G, [i + 1 for i in S]) <= r
         ]
 
     ball_nbrs = []

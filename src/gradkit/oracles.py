@@ -7,7 +7,7 @@ for tree-depth (brute_treedepth), exact tree-depth per union of colour
 classes.  Beyond the Graph and ArcListDigraph containers, the checkers
 share a few helpers with the code they check: is_centered and
 is_p_centered walk the connected vertex sets from core.connected_sets,
-and they and longest_path read the graph as core.neighbour_masks;
+and longest_path reads the graph as core.neighbour_masks;
 brute_low_tdepth runs treedepth_decide on core.induced_subgraph;
 naive_step orients its new fraternity edges with build_graph and orient,
 where the step it checks reads the peeling order alone.  Every other
@@ -239,8 +239,8 @@ def _centered_everywhere(G: Graph, coloring: Coloring, p: int | None) -> bool:
     if G.n > CERTIFY_LIMIT:
         raise SizeLimitError(f"graph order {G.n} exceeds the certification limit {CERTIFY_LIMIT}")
     colors = coloring.colors
-    for S in connected_sets(neighbour_masks(G), G.n):
-        counts = Counter(colors[i + 1] for i in range(G.n) if S >> i & 1)
+    for S in connected_sets([[w - 1 for w in row] for row in G.adj[1:]], G.n):
+        counts = Counter(colors[i + 1] for i in S)
         if 1 not in counts.values() and (p is None or len(counts) < p):
             return False
     return True

@@ -5,18 +5,21 @@ of tree-depth at most h.  A copy of a connected pattern on h vertices
 meets at most h colour classes, connected in the colour quotient graph
 (colours adjacent when some host edge joins their classes), and those
 classes hold at least h vertices.  So only connected colour sets are
-visited, each once, and a set whose mask shows its classes too small to
-hold h vertices, or, with a restriction S, holding no colour of S, is
-dropped by mask tests before any vertex list is built.  The union of a
-visited set's classes is read off the class lists and the host
-adjacency.  An introduce/forget dynamic program walks the union's
-elimination forest and counts the copies, or the induced copies, in it.  A union of exactly h vertices (every union,
-when each colour class is one vertex) is a labelled graph on h local
-ids, of which there are at most 2^(h(h-1)/2); one count or containment
-call keeps a table from those rows to the DP's result, so each distinct
-labelled union is counted once.  The count depends on the rows alone,
-not on the forest or the colours, so the table is exact; it lives only
-for that call.  Counting turns the per-union counts into
+visited, each once, as tuples of at most h class indices from the list
+enumerator core.connected_sets, so a set costs time in h, not in the
+number of colours.  A set whose length shows its classes too small to
+hold h vertices, or, with a restriction S, holding no class of S, is
+dropped before any vertex list is built.  The union of a visited set's
+classes is read off the class lists and the host adjacency.  An
+introduce/forget dynamic program walks the union's elimination forest
+and counts the copies, or the induced copies, in it.  A union of exactly
+h vertices (every union, when each colour class is one vertex) is a
+labelled graph on h local ids, keyed by one bit per pair of them; one
+count or containment call keeps a table from those keys to the DP's
+result, so each distinct labelled union is counted once, and its rows
+are built only on a miss.  The count depends on the labelled graph
+alone, not on the forest or the colours, so the table is exact; it lives
+only for that call.  Counting turns the per-union counts into
 counts per exact colour set by a Moebius pass, so every copy is counted
 once; the copies meeting a vertex set S are count(union) - count(union -
 S) on each union that meets S.  Deciding containment stops at the first
@@ -34,18 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .coloring import Coloring, centered_parents, color_classes, low_tdepth_coloring
-from .core import (
-    Graph,
-    _check_vertex,
-    bit_indices,
-    build_graph,
-    connected_sets,
-    is_connected,
-    local_adjacency,
-)
+from .core import Graph, _check_vertex, build_graph, connected_sets, is_connected, local_adjacency
 from .errors import DomainError, InputError, NotCenteredError, PatternError
 from .forests import TreeDecomposition, _tree_parents, dfs_parents, validate_decomposition
 
@@ -201,7 +197,7 @@ def _count_in_union(
     verts: list[int],
     colors: Sequence[int],
     pat: Pattern,
-    table: dict[tuple[tuple[int, ...], ...], int],
+    table: dict[int, int],
     induced: bool = False,
 ) -> int:
     """Count copies of pat (induced ones, with induced) in G[verts], for
@@ -218,21 +214,35 @@ def _count_in_union(
     here; the forest is then a DFS forest, always an elimination forest.
 
     A union of exactly h vertices is looked up in table, the caller's
-    dict for one count with one pattern and one induced flag, keyed by
-    its rows over local ids: the count is a property of that labelled
-    graph alone, whatever the forest or the colours, so a hit is exact.
-    Each key is a labelled graph on h ids, so the table holds at most
-    2^(h(h-1)/2) entries; larger unions bypass it.
+    dict for one count with one pattern and one induced flag.  Its key
+    has one bit per pair a < b of positions in verts, ordered by b and
+    then a, set when verts[a] and verts[b] are adjacent: the labelled
+    graph on h ids, whose count does not depend on the forest or the
+    colours, so a hit is exact.  The table holds at most 2^(h(h-1)/2)
+    entries, a key with fewer set bits than pat has edges holds no copy,
+    and rows and the DP are built only on a miss.  Larger unions bypass
+    the table.
     """
     h = pat.graph.n
-    if len(verts) < h:
+    n = len(verts)
+    if n < h:
         return 0
+    key = None
+    if n == h:
+        key, bit = 0, 1
+        for b in range(1, h):
+            row = G.adj[verts[b]]
+            for u in verts[:b]:
+                if u in row:
+                    key |= bit
+                bit <<= 1
+        if key.bit_count() < pat.graph.m:
+            return 0
+        if key in table:
+            return table[key]
     adj = local_adjacency(G, verts)
-    if sum(map(len, adj)) < 2 * pat.graph.m:
+    if key is None and sum(map(len, adj)) < 2 * pat.graph.m:
         return 0
-    key = tuple(adj) if len(verts) == h else None
-    if key in table:
-        return table[key]
     try:
         parent = centered_parents(adj, [0] + [colors[v] for v in verts])
     except NotCenteredError:
@@ -244,28 +254,33 @@ def _count_in_union(
 
 
 def _hosting_unions(
-    classes: list[list[int]], adjm: list[int], h: int, s_mask: int = -1
-) -> Iterator[tuple[int, list[int]]]:
+    classes: list[list[int]],
+    quotient: list[tuple[int, ...]],
+    h: int,
+    s_classes: set[int] | None = None,
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """(C, union of the classes of C) for every colour set C of at most h
     colours, connected in the quotient, that can hold a copy of a
-    connected h-vertex pattern meeting the colours of s_mask (every colour
-    by default); C is a mask over the class indices of color_classes, and
-    the union lists its classes in index order, unsorted.
+    connected h-vertex pattern meeting the classes s_classes (any class by
+    default); C is a tuple of class indices of color_classes from
+    core.connected_sets, and the union lists its classes in C's order.
 
-    The test reads the mask alone, before any vertex list is built.  A
-    union of fewer than h vertices holds no copy: so C is skipped when its
-    colours times the largest class size fall short of h, or when all its
-    classes are single vertices and it has fewer than h colours.  A union
-    meets a vertex set S exactly when C holds the colour of a vertex of S,
-    so with s_mask the mask of those colours, C & s_mask == 0 skips it.
+    The test reads C alone, before any vertex list is built.  A union of
+    fewer than h vertices holds no copy: so C is skipped when its colours
+    times the largest class size fall short of h, or when all its classes
+    are single vertices and it has fewer than h colours.  A union meets a
+    vertex set S exactly when C holds the class of a vertex of S, so with
+    s_classes those classes, a C disjoint from them is skipped.
     """
     largest = max(map(len, classes), default=0)
-    multi = sum(1 << i for i, cls in enumerate(classes) if len(cls) > 1)
-    for C in connected_sets(adjm, h):
-        size = C.bit_count()
-        if size * largest < h or (size < h and not C & multi) or not C & s_mask:
+    multi = {i for i, cls in enumerate(classes) if len(cls) > 1}
+    for C in connected_sets(quotient, h):
+        size = len(C)
+        if size * largest < h or (size < h and multi.isdisjoint(C)):
             continue
-        yield C, [v for i in bit_indices(C) for v in classes[i]]
+        if s_classes is not None and s_classes.isdisjoint(C):
+            continue
+        yield C, [v for i in C for v in classes[i]]
 
 
 def _contains(G: Graph, pat: Pattern, col: Coloring, induced: bool) -> bool:
@@ -273,11 +288,11 @@ def _contains(G: Graph, pat: Pattern, col: Coloring, induced: bool) -> bool:
     lies in the union of its own colour set, one of the unions
     _hosting_unions yields, and is induced in G iff it is induced in that
     union, so the scan stops at the first union whose count is positive."""
-    _, classes, adjm = color_classes(G, col)
-    table: dict[tuple[tuple[int, ...], ...], int] = {}
+    _, classes, quotient = color_classes(G, col)
+    table: dict[int, int] = {}
     return any(
         _count_in_union(G, verts, col.colors, pat, table, induced)
-        for _, verts in _hosting_unions(classes, adjm, pat.graph.n)
+        for _, verts in _hosting_unions(classes, quotient, pat.graph.n)
     )
 
 
@@ -293,41 +308,39 @@ def _exact_counts(
     A union's count is the sum of the exact counts of the colour sets
     inside it, so a Moebius pass in order of size gives exact[C] =
     count(union of C) - sum of exact[C'] over the proper subsets C' of C,
-    run on colour-index masks; a skipped colour set holds no copy and has
-    no entry.  A set of the least size with an entry has no proper subset
-    with one, so its subset walk is skipped: under the all-distinct
-    colouring every entry has h colours, and no walk runs at all.  With
+    run on sorted tuples of class indices, the subsets taken with
+    itertools.combinations; a skipped colour set holds no copy and has no
+    entry.  No set below the least size with an entry has one, so a set
+    walks only its subsets of at least that size, and a set of that size
+    walks none: under the all-distinct colouring every entry has h
+    colours, no walk runs at all, and the tuples are left unsorted.  With
     S, each union contributes count(union) - count(union - S), the copies
     in it that meet S.  A union with no copy has no entry: neither has any
     colour set inside it.
     """
-    used, classes, adjm = color_classes(G, col)
+    used, classes, quotient = color_classes(G, col)
     colors = col.colors
-    s_mask = -1
+    s_classes = None
     if S is not None:
         index = {c: i for i, c in enumerate(used)}
-        s_mask = 0
-        for v in S:
-            s_mask |= 1 << index[colors[v]]
-    table: dict[tuple[tuple[int, ...], ...], int] = {}
-    union_counts: dict[int, int] = {}
-    for C, verts in _hosting_unions(classes, adjm, pat.graph.n, s_mask):
+        s_classes = {index[colors[v]] for v in S}
+    table: dict[int, int] = {}
+    exact: dict[tuple[int, ...], int] = {}  # union counts, made exact in place below
+    for C, verts in _hosting_unions(classes, quotient, pat.graph.n, s_classes):
         k = _count_in_union(G, verts, colors, pat, table)
         if S is not None:
             k -= _count_in_union(G, [v for v in verts if v not in S], colors, pat, table)
         if k:
-            union_counts[C] = k
-    exact: dict[int, int] = {}
-    least = min(map(int.bit_count, union_counts), default=0)
-    for C in sorted(union_counts, key=int.bit_count):
-        k = union_counts[C]
-        if C.bit_count() > least:
-            sub = (C - 1) & C
-            while sub:
-                k -= exact.get(sub, 0)
-                sub = (sub - 1) & C
-        exact[C] = k
-    return {frozenset([used[i] for i in bit_indices(C)]): k for C, k in exact.items() if k}
+            exact[C] = k
+    least = min(map(len, exact), default=0)
+    if any(len(C) > least for C in exact):  # some set walks its subsets
+        exact = {tuple(sorted(C)): k for C, k in exact.items()}
+        for C in sorted(exact, key=len):
+            if len(C) > least:
+                exact[C] -= sum(
+                    exact.get(sub, 0) for r in range(least, len(C)) for sub in combinations(C, r)
+                )
+    return {frozenset([used[i] for i in C]): k for C, k in exact.items() if k}
 
 
 def _check_restriction(G: Graph, S: frozenset[int] | None) -> None:

@@ -14,7 +14,6 @@ from gradkit.core import (
     connected_components,
     is_connected,
     local_adjacency,
-    neighbour_masks,
     underlying_graph,
 )
 from gradkit.distance import preprocess
@@ -245,35 +244,42 @@ def test_induced_subgraph_rejects_out_of_range():
         induced_subgraph(G, [1, 4])
 
 
-def _brute_connected_sets(adjm, k):
-    """Every nonempty mask of at most k bits whose bits reach each other
-    through adjm, by a closure from the lowest bit."""
+def _brute_connected_sets(G, k):
+    """Every nonempty set of at most k vertices of G, as 0-based indices,
+    whose vertices reach each other inside it, by a closure from its least
+    vertex."""
     out = set()
-    for mask in range(1, 1 << len(adjm)):
+    for mask in range(1, 1 << G.n):
         if mask.bit_count() > k:
             continue
-        seen = frontier = mask & -mask
+        verts = {i + 1 for i in range(G.n) if mask >> i & 1}
+        seen = {min(verts)}
+        frontier = list(seen)
         while frontier:
-            grown = 0
-            for i in range(len(adjm)):
-                if frontier >> i & 1:
-                    grown |= adjm[i]
-            frontier = grown & mask & ~seen
-            seen |= frontier
-        if seen == mask:
-            out.add(mask)
+            frontier = [w for v in frontier for w in G.adj[v] if w in verts and w not in seen]
+            seen.update(frontier)
+        if seen == verts:
+            out.add(frozenset(v - 1 for v in verts))
     return out
 
 
-def _check_connected_sets(adjm, k):
-    got = list(connected_sets(adjm, k))
-    assert len(got) == len(set(got))  # each mask exactly once
-    assert set(got) == _brute_connected_sets(adjm, k)
+def _check_connected_sets(G, k):
+    got = list(connected_sets([[w - 1 for w in row] for row in G.adj[1:]], k))
+    assert all(type(T) is tuple and len(set(T)) == len(T) for T in got)
+    assert len(got) == len(set(map(frozenset, got)))  # each set exactly once
+    assert set(map(frozenset, got)) == _brute_connected_sets(G, k)
 
 
 @given(raw_graphs(), st.integers(0, 9))
 def test_connected_sets_matches_brute_force_random(G, k):
-    _check_connected_sets(neighbour_masks(G), k)
+    _check_connected_sets(G, k)
+
+
+def test_build_graph_rejects_a_short_edge():
+    for short in [(1,), ()]:
+        with pytest.raises(InputError, match="fewer than two entries") as err:
+            build_graph(3, [(1, 2), short, (2, 3)])
+        assert repr(short) in str(err.value)
 
 
 def test_induced_radius():

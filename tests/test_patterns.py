@@ -16,14 +16,7 @@ from gradkit.coloring import (
     greedy_coloring,
     low_tdepth_coloring,
 )
-from gradkit.core import (
-    bit_indices,
-    build_graph,
-    connected_sets,
-    induced_subgraph,
-    is_connected,
-    local_adjacency,
-)
+from gradkit.core import build_graph, connected_sets, induced_subgraph, is_connected
 from gradkit.errors import DomainError, InputError, PatternError
 from gradkit.forests import TreeDecomposition, dfs_forest, forest_to_decomposition
 from gradkit.generators import (
@@ -298,9 +291,16 @@ def test_random_colouring_examples_take_both_forests(monkeypatch):
     assert calls["centered"] > calls["dfs"] > 0
 
 
+def _pair_bits(G, verts):
+    """One bit per pair a < b of positions in verts, ordered by b and then
+    a, set when verts[a] and verts[b] are adjacent."""
+    pairs = [(a, b) for b in range(len(verts)) for a in range(b)]
+    return sum(1 << i for i, (a, b) in enumerate(pairs) if G.has_edge(verts[a], verts[b]))
+
+
 def test_one_dp_per_distinct_labelled_union(monkeypatch):
     # with one vertex per colour every union of h colours has h vertices,
-    # and the DP runs once per distinct rows-over-local-ids key in a call
+    # and the DP runs once per distinct pair-bits key in a call
     calls = []
 
     def counted(*args):
@@ -311,7 +311,7 @@ def test_one_dp_per_distinct_labelled_union(monkeypatch):
     monkeypatch.setattr(patterns, "_copies", counted)
     G = grid(8, 8)
     col = Coloring((0,) + tuple(range(1, 65)), 64)
-    _, classes, adjm = color_classes(G, col)
+    _, classes, quotient = color_classes(G, col)
     S = frozenset({1, 10, 37, 64})
     # C4 has the grid's own numbers too: its 7 x 7 unit squares, 9 of them
     # at a vertex of S (1 + 4 + 4 + 1, less the square holding 1 and 10)
@@ -322,13 +322,13 @@ def test_one_dp_per_distinct_labelled_union(monkeypatch):
     assert want["C4"] == (49, 9)
     for name, H in (("P3", path(3)), ("C4", cycle(4))):
         keys, hit_keys = set(), set()
-        for C in connected_sets(adjm, H.n):
-            verts = [v for i in bit_indices(C) for v in classes[i]]
-            adj = local_adjacency(G, verts)
-            if len(verts) == H.n and sum(map(len, adj)) >= 2 * H.m:
-                keys.add(tuple(adj))
+        for C in connected_sets(quotient, H.n):
+            verts = [v for i in C for v in classes[i]]
+            key = _pair_bits(G, verts)
+            if len(verts) == H.n and key.bit_count() >= H.m:
+                keys.add(key)
                 if not S.isdisjoint(verts):
-                    hit_keys.add(tuple(adj))
+                    hit_keys.add(key)
         total, hitting = want[name]
         assert (len(list_isomorphs(G, H)), len(list_isomorphs(G, H, S))) == want[name]
         del calls[:]
@@ -337,6 +337,38 @@ def test_one_dp_per_distinct_labelled_union(monkeypatch):
         del calls[:]
         assert count_isomorphs(G, H, S, coloring=col).total == hitting
         assert len(calls) == len(hit_keys)  # union minus S has < h vertices
+
+
+def test_unions_with_equal_edge_counts_never_share_a_table_entry():
+    # P4 and K1,3 both have 3 edges on 4 vertices, as does a triangle with
+    # an isolated vertex, and C4 and the paw both have 4; under the
+    # all-distinct colouring every union of 4 colours is 4 vertices and is
+    # counted through the table, so a key that lost a pair would hand one
+    # labelled graph another's count.  Counts, induced counts and counts
+    # meeting S all go through one table per call
+    G = build_graph(
+        12,
+        [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (3, 5), (5, 6), (6, 7), (6, 8), (6, 9),
+         (9, 10), (10, 11), (11, 12), (12, 9), (2, 7), (8, 11)],
+    )
+    col = _distinct(G.n)
+    _, classes, quotient = color_classes(G, col)
+    S = frozenset({3, 6, 11})
+    for H in (path(4), star(3)):
+        pat = make_pattern(H)
+        copies = brute_copies(G, H)
+        induced = [verts for verts, _ in copies if induced_subgraph(G, verts)[0].m == H.m]
+        assert 0 < len(induced) < len(copies)
+        assert count_isomorphs(G, pat, coloring=col).total == len(copies)
+        assert count_isomorphs(G, pat, S, coloring=col).total == sum(
+            not S.isdisjoint(verts) for verts, _ in copies
+        )
+        table: dict[int, int] = {}
+        got = sum(
+            patterns._count_in_union(G, verts, col.colors, pat, table, True)
+            for _, verts in patterns._hosting_unions(classes, quotient, H.n)
+        )
+        assert got == len(induced)
 
 
 def test_counting_receives_only_unions_that_can_hold_a_copy(monkeypatch):
@@ -438,6 +470,23 @@ def test_colour_and_count_grow_linearly_on_grids_and_apex_grids():
         assert fit_exponent(points) <= 1.25, points
 
 
+def test_colour_and_count_grow_linearly_with_one_colour_per_vertex():
+    # low_tdepth_coloring(G, 4) gives both grids one colour per vertex, so a
+    # colour set names up to 3 of n classes; colour plus count of P3 in
+    # process CPU time, round-robin over the sizes, best of 3
+    P3 = make_pattern(path(3))
+    hosts = [grid(70, 70), grid(140, 140)]
+    best = [float("inf")] * len(hosts)
+    for _ in range(3):
+        for i, G in enumerate(hosts):
+            t = time.process_time()
+            total = count_isomorphs(G, P3, coloring=low_tdepth_coloring(G, 4)).total
+            best[i] = min(best[i], time.process_time() - t)
+            assert total == _p3_closed_form(G)
+    points = [(G.n, t) for G, t in zip(hosts, best)]
+    assert fit_exponent(points) <= 1.25, points
+
+
 def test_counting_is_thread_safe():
     # the union table lives in one call: four threads counting at once on
     # one host and colouring each get the single-threaded reports
@@ -478,7 +527,7 @@ def _quotient_connected(quotient, C):
     while todo:
         c = todo.pop()
         for d in C:
-            if quotient[c] >> d & 1 and d not in seen:
+            if d in quotient[c] and d not in seen:
                 seen.add(d)
                 todo.append(d)
     return seen == C
@@ -491,13 +540,13 @@ def test_connected_color_sets_each_once():
         for k in range(1, 6):
             got = list(connected_sets(quotient, k))
             want = {
-                sum(1 << c for c in C)
+                frozenset(C)
                 for r in range(1, k + 1)
                 for C in combinations(range(len(quotient)), r)
                 if _quotient_connected(quotient, frozenset(C))
             }
-            assert len(got) == len(set(got)), (cname, k)
-            assert set(got) == want, (cname, k)
+            assert len(got) == len(set(map(frozenset, got))), (cname, k)
+            assert set(map(frozenset, got)) == want, (cname, k)
 
 
 def test_color_quotient():
@@ -505,7 +554,7 @@ def test_color_quotient():
     used, classes, quotient = color_classes(path(4), col)
     assert used == [1, 3, 5]
     assert classes == [[1, 3], [4], [2]]
-    assert quotient == [0b110, 0b001, 0b001]  # colour 1 meets colours 3 and 5
+    assert quotient == [(1, 2), (0,), (0,)]  # colour 1 meets colours 3 and 5
 
 
 def test_coloring_length_must_match_host():
