@@ -59,7 +59,6 @@ from .patterns import (
     make_pattern,
 )
 from .separator import (
-    ExpansionBound,
     MinorWitness,
     Separator,
     SublinearReport,

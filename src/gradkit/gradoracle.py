@@ -67,23 +67,17 @@ def ball_family(G: Graph, sets: Iterable[Iterable[int]]) -> BallFamily:
 
 
 def quotient(G: Graph, P: BallFamily | Sequence[Iterable[int]]) -> Graph:
-    """Graph on {1..|P|} with an edge {i, j} iff some G-edge joins ball i and j."""
+    """Graph on {1..|P|} with an edge {i, j} iff some G-edge joins ball i and j.
+
+    Each ball vertex maps to its ball's index, and each G-edge from ball i
+    to a ball j > i gives the edge (i, j), which build_graph merges with
+    its repeats: time linear in the degree sum of the balls' vertices."""
     fam = P if isinstance(P, BallFamily) else ball_family(G, P)
-    masks = [0] * len(fam.balls)
-    nbrs = [0] * len(fam.balls)
-    for i, b in enumerate(fam.balls):
-        for v in b:
-            masks[i] |= 1 << (v - 1)
-            for w in G.adj[v]:
-                nbrs[i] |= 1 << (w - 1)
-        nbrs[i] &= ~masks[i]
+    ball_of = {v: i for i, b in enumerate(fam.balls, 1) for v in b}
     edges = [
-        (i + 1, j + 1)
-        for i in range(len(masks))
-        for j in range(i + 1, len(masks))
-        if masks[j] & nbrs[i]
+        (i, j) for v, i in ball_of.items() for w in G.adj[v] if (j := ball_of.get(w, 0)) > i
     ]
-    return build_graph(len(masks), edges)
+    return build_graph(len(fam.balls), edges)
 
 
 def evaluate_family(G: Graph, P: BallFamily | Sequence[Iterable[int]]) -> Fraction:

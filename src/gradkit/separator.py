@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .core import Graph, induced_radius, is_connected
 from .errors import DisconnectedError, DomainError, InputError, InvalidFamilyError
@@ -483,36 +483,14 @@ def validate(
     return False
 
 
-@dataclass(frozen=True)
-class ExpansionBound:
-    """Nondecreasing bound f with grad(G, r) <= f(r) claimed for G's class.
+def parse_expansion(text: str) -> Callable[[int], float]:
+    """Parse const:c | poly:c,d | exp:b | table:v0,v1,... into a bound f.
 
-    kinds: constant (f = c), polynomial (f(r) = c * (r+1)^d),
-    exponential (f(r) = b^(r+1)), table (explicit values, last repeated).
+    f(r) is c, c * (r+1)^d, b^(r+1) or the table's r-th value (its last
+    repeated), and math.inf where the value overflows a float.  Each is a
+    nondecreasing bound with grad(G, r) <= f(r) claimed for G's class;
+    sublinear_separator accepts any nondecreasing function of r.
     """
-
-    kind: str
-    params: tuple[float, ...]
-
-    def __call__(self, r: int) -> float:
-        """f(r), or math.inf where the value overflows a float."""
-        try:
-            if self.kind == "constant":
-                return self.params[0]
-            if self.kind == "polynomial":
-                c, d = self.params
-                return c * (r + 1) ** d
-            if self.kind == "exponential":
-                return self.params[0] ** (r + 1)
-            if self.kind == "table":
-                return self.params[min(r, len(self.params) - 1)]
-        except OverflowError:
-            return math.inf
-        raise DomainError(f"unknown expansion bound kind {self.kind!r}")
-
-
-def parse_expansion(text: str) -> ExpansionBound:
-    """Parse const:c | poly:c,d | exp:b | table:v0,v1,..."""
     kind, _, rest = text.partition(":")
     try:
         values = tuple(float(tok) for tok in rest.split(",")) if rest else ()
@@ -521,21 +499,31 @@ def parse_expansion(text: str) -> ExpansionBound:
     if not all(math.isfinite(v) for v in values):
         values = ()
     if kind == "const" and len(values) == 1 and values[0] > 0:
-        return ExpansionBound("constant", values)
-    if kind == "poly" and len(values) == 2 and values[0] > 0 and values[1] >= 0:
-        return ExpansionBound("polynomial", values)
-    if kind == "exp" and len(values) == 1 and values[0] >= 1:
-        return ExpansionBound("exponential", values)
-    if kind == "table" and values and all(v > 0 for v in values):
+        bound = lambda r: values[0]
+    elif kind == "poly" and len(values) == 2 and values[0] > 0 and values[1] >= 0:
+        c, d = values
+        bound = lambda r: c * (r + 1) ** d
+    elif kind == "exp" and len(values) == 1 and values[0] >= 1:
+        bound = lambda r: values[0] ** (r + 1)
+    elif kind == "table" and values and all(v > 0 for v in values):
         if list(values) != sorted(values):
             raise InputError(f"table expansion bound must be nondecreasing: {text!r}")
-        return ExpansionBound("table", values)
-    raise InputError(
-        f"bad expansion bound {text!r}; use const:c, poly:c,d, exp:b or table:..."
-    )
+        bound = lambda r: values[min(r, len(values) - 1)]
+    else:
+        raise InputError(
+            f"bad expansion bound {text!r}; use const:c, poly:c,d, exp:b or table:..."
+        )
+
+    def f(r: int) -> float:
+        try:
+            return bound(r)
+        except OverflowError:
+            return math.inf
+
+    return f
 
 
-def choose_z(n: int, f: ExpansionBound) -> int:
+def choose_z(n: int, f: Callable[[int], float]) -> int:
     """Largest z >= 1 with 2 z (f(z) + 2) <= sqrt(n log2 n); 0 if none."""
     if n < 2:
         raise DomainError(f"choose_z needs n >= 2, got {n}")
@@ -566,27 +554,39 @@ class SublinearReport:
     separator_size_bound: float
 
 
-def _zeta(n: int, f: ExpansionBound) -> int:
-    """Greatest integer with log2 f(zeta) < log2(n) / 3 (0 if none)."""
+def _zeta(n: int, f: Callable[[int], float]) -> int:
+    """Greatest integer zeta <= n with log2 f(zeta) < log2(n) / 3 (0 if
+    none), for a nondecreasing f: a galloping search over ranks 1, 2, 4,
+    ... then bisection, so f is read O(log zeta) times."""
     limit = math.log2(n) / 3 if n >= 2 else 0.0
-    z = 0
-    while z < n and math.log2(max(f(z + 1), 1e-300)) < limit:
-        z += 1
-    return z
+
+    def below(r: int) -> bool:
+        return math.log2(max(f(r), 1e-300)) < limit
+
+    lo, hi = 0, 1  # below(lo) holds or lo = 0; below(hi) fails or hi > n
+    while hi <= n and below(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, n + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return lo
 
 
 def sublinear_separator(
     G: Graph,
-    f: ExpansionBound,
+    f: Callable[[int], float],
     *,
     c1: float = DEFAULT_C1,
     minor_attempts: int = DEFAULT_MINOR_ATTEMPTS,
 ) -> SublinearReport:
     """Separator of size O(n log n / z) for a class with expansion bound f.
 
-    z is the largest rank with 2 z (f(z) + 2) <= sqrt(n log n); the minor
-    search depth is capped at z, so a returned witness shows a depth-z
-    K_h minor with h = floor(f(z) + 2), contradicting the declared bound.
+    f may be any nondecreasing function of the rank r, such as one that
+    parse_expansion returns.  z is the largest rank with
+    2 z (f(z) + 2) <= sqrt(n log n); the minor search depth is capped at
+    z, so a returned witness shows a depth-z K_h minor with
+    h = floor(f(z) + 2), contradicting the declared bound.
     The report then flags the violation instead of failing.  An f(z)
     that is not finite raises DomainError; a disconnected G with n >= 2
     raises DisconnectedError from separate_or_minor.

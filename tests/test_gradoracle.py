@@ -1,11 +1,15 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import raw_graphs
 from gradkit.core import build_graph, connected_sets
 from gradkit.errors import InvalidFamilyError, OracleLimitError
 from gradkit.generators import clique, cycle, grid, path, star, subdivided_clique
+from gradkit.harness import fit_exponent
 from gradkit.gradoracle import (
     ball_family,
     evaluate_family,
@@ -53,6 +57,60 @@ def test_quotient_rejects_bad_families():
         quotient(G, [[1, 3]])  # disconnected ball
     with pytest.raises(InvalidFamilyError):
         quotient(G, [[]])  # empty ball
+
+
+@given(raw_graphs(max_n=10, max_m=30), st.data())
+def test_quotient_matches_edge_scan(G, data):
+    # each vertex draws a label, the vertices of a label form one set, and
+    # the family keeps the sets that ball_family accepts (the connected
+    # ones), so its balls are disjoint and connected by construction
+    labels = [data.draw(st.integers(-1, 4)) for _ in range(G.n)]
+    sets = [[v for v in range(1, G.n + 1) if labels[v - 1] == k] for k in range(5)]
+    balls = []
+    for S in sets:
+        try:
+            balls.append(ball_family(G, [S]).balls[0])
+        except InvalidFamilyError:
+            pass
+    q = quotient(G, balls)
+    want = {
+        (i, j)
+        for i in range(1, len(balls) + 1)
+        for j in range(i + 1, len(balls) + 1)
+        if any(
+            (u in balls[i - 1] and v in balls[j - 1])
+            or (v in balls[i - 1] and u in balls[j - 1])
+            for (u, v) in G.edges
+        )
+    }
+    assert q.n == len(balls)
+    assert set(q.edges) == want
+
+
+def _block_tiling(a):
+    """The 2 x 2 blocks tiling grid(a, a), a even: one per odd row and column."""
+    starts = [r * a + c for r in range(0, a, 2) for c in range(1, a, 2)]
+    return [[v, v + 1, v + a, v + a + 1] for v in starts]
+
+
+def test_quotient_grows_linearly_on_block_tilings():
+    # the quotient of grid a^2 by its 2 x 2 blocks is grid (a/2)^2; process
+    # CPU time, round-robin over the sizes, best of 3
+    sides = (100, 200)
+    cases = []
+    for a in sides:
+        G = grid(a, a)
+        cases.append((G, ball_family(G, _block_tiling(a))))
+    best = [float("inf")] * len(sides)
+    for _ in range(3):
+        for i, (G, fam) in enumerate(cases):
+            t = time.process_time()
+            q = quotient(G, fam)
+            best[i] = min(best[i], time.process_time() - t)
+            k = sides[i] // 2
+            assert (q.n, q.m) == (k * k, 2 * k * (k - 1))
+    points = [(G.n, t) for (G, _), t in zip(cases, best)]
+    assert fit_exponent(points) <= 1.25, points
 
 
 def test_grad_k4_rank0():

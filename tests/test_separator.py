@@ -1,6 +1,7 @@
 import hashlib
 import math
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from gradkit.separator import (
     MinorWitness,
     Separator,
     _ball_growing,
+    _zeta,
     choose_z,
     parse_expansion,
     separate_or_minor,
@@ -352,10 +354,18 @@ def test_choose_z_steep_function():
 
 
 def test_parse_expansion():
-    assert parse_expansion("const:2")(5) == 2
-    assert parse_expansion("poly:2,1")(3) == 8
-    assert parse_expansion("exp:3")(1) == 9
-    assert parse_expansion("table:1,2,5")(10) == 5
+    closed_forms = {
+        "const:2.5": lambda r: 2.5,
+        "poly:2,1.5": lambda r: 2 * (r + 1) ** 1.5,
+        "exp:3": lambda r: 3.0 ** (r + 1),
+        "table:1,2,5": lambda r: [1, 2, 5][min(r, 2)],
+    }
+    for spec, closed in closed_forms.items():
+        f = parse_expansion(spec)
+        assert isinstance(f, types.FunctionType)
+        for r in (0, 1, 5, 50):
+            assert f(r) == closed(r), (spec, r)
+    assert parse_expansion("exp:2")(2000) == math.inf
     for bad in (
         "const:", "poly:1", "exp:0.5", "table:3,2", "quux:1",
         "const:inf", "const:1e400", "poly:inf,1", "poly:2,inf", "exp:inf", "exp:1e400",
@@ -363,6 +373,50 @@ def test_parse_expansion():
     ):
         with pytest.raises(InputError):
             parse_expansion(bad)
+
+
+def _zeta_by_scan(n, f):
+    """Reference: the greatest zeta <= n with log2 f(r) < log2(n) / 3 at
+    every rank r = 1..zeta, found by reading f at each rank in turn."""
+    limit = math.log2(n) / 3
+    z = 0
+    while z < n and math.log2(max(f(z + 1), 1e-300)) < limit:
+        z += 1
+    return z
+
+
+def test_zeta_matches_linear_scan():
+    bounds = [
+        parse_expansion(spec)
+        for spec in ("const:3", "const:0.5", "poly:2,1", "poly:0.5,2", "exp:2", "exp:1",
+                     "table:1,2,3", "table:0.5,3,9,40")
+    ]
+    bounds.append(lambda r: 1.5 * math.sqrt(r))
+    for f in bounds:
+        for n in range(2, 301):
+            assert _zeta(n, f) == _zeta_by_scan(n, f), (n, f)
+
+
+def test_zeta_reads_the_bound_logarithmically_often():
+    n = 10**6
+    f = parse_expansion("const:3")
+    calls = []
+
+    def counted(r):
+        calls.append(r)
+        return f(r)
+
+    assert _zeta(n, counted) == n  # log2 3 < log2(10^6) / 3 at every rank
+    assert len(calls) <= 2 * math.log2(n) + 4, len(calls)
+
+
+def test_sublinear_separator_takes_a_plain_function():
+    for G in (grid(30, 30), random_regular(200, 3, 0)):
+        got = sublinear_separator(G, lambda r: 2 * (r + 1))
+        want = sublinear_separator(G, parse_expansion("poly:2,1"))
+        for field in ("z", "zeta", "l", "h", "f_violated", "witness_density",
+                      "separator_size_bound", "outcome"):
+            assert getattr(got, field) == getattr(want, field), field
 
 
 def test_sublinear_separator_rejects_overflowing_bound():
