@@ -398,13 +398,7 @@ def _step(
     stats = StepStats(trans_added, n_left, frat_delta_max)
     if all(row is orow for row, orow in zip(rows, old)):
         return dg, stats
-    new = ArcListDigraph(
-        n=n,
-        m=sum(len(row) for row in rows),
-        D=tuple(rows),
-        md=max((len(row) for row in rows), default=0),
-    )
-    return new, stats
+    return ArcListDigraph(n=n, D=tuple(rows)), stats
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,16 @@ in-arc list representation: D[v] is a dict from the source of each arc
 ending at v to its weight, in insertion order, so "is there an arc
 x -> y" is x in D[y] and costs O(1).
 
-Both containers are immutable after construction (no code mutates a
-digraph row once it is built; a Graph's edge tuple is written once, to a
-value every reader computes alike) and safe to share across threads.
+Each container stores only n and its rows; sizes and edge tuples are
+read off the rows on first access and kept.  Both are immutable after
+construction (no code mutates a row once it is built; a kept value is
+written once, to a value every reader computes alike) and thread-safe.
 The module also holds the small-graph primitives that the exact oracles
 and the counting pipeline share: local_adjacency (the rows of an induced
 subgraph over local ids), neighbour_masks, connected_sets (every
 connected set of at most k indices of a graph given as neighbour lists,
-as a tuple) and induced_radius.
+as a tuple), induced_radius, and _reach, the one marking search behind
+is_connected, connected_components and the separator's ball growing.
 """
 
 from __future__ import annotations
@@ -34,13 +36,17 @@ class Graph:
     """Simple undirected graph on vertices 1..n.
 
     adj[v] is the sorted tuple of neighbours of v (adj[0] is unused), and
-    the only stored form of the edges.  Equality and hashing compare n, m
-    and adj.
+    the only stored form of the edges.  Equality and hashing compare n and
+    adj.
     """
 
     n: int
-    m: int
     adj: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def m(self) -> int:
+        """The number of edges, half the degree sum, read off adj."""
+        return sum(map(len, self.adj)) // 2
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -71,13 +77,21 @@ class ArcListDigraph:
 
     D[v] maps the source of each arc pointing at v to its weight; weights
     are nonnegative integers, at most one arc per ordered pair and no
-    loops.  The rows are read, never mutated.  md is the maximum indegree.
+    loops.  The rows are read, never mutated.  Equality compares n and D.
     """
 
     n: int
-    m: int
     D: tuple[dict[int, int], ...]
-    md: int
+
+    @cached_property
+    def m(self) -> int:
+        """The number of arcs, read off the rows."""
+        return sum(map(len, self.D))
+
+    @cached_property
+    def md(self) -> int:
+        """The maximum indegree, read off the rows."""
+        return max(map(len, self.D), default=0)
 
     def arcs(self) -> Iterator[tuple[int, int, int]]:
         """Yield (source, target, weight), row by row in target order."""
@@ -115,8 +129,7 @@ def build_graph(n: int, raw_edges: EdgeList) -> Graph:
                 rows[v].append(u)
     except IndexError:  # the range test comes first, so only a short edge gets here
         raise InputError(f"edge {pair!r} has fewer than two entries") from None
-    adj = tuple([tuple(sorted(set(row))) for row in rows])
-    return Graph(n=n, m=sum(map(len, adj)) // 2, adj=adj)
+    return Graph(n=n, adj=tuple([tuple(sorted(set(row))) for row in rows]))
 
 
 def build_digraph(n: int, arcs: Iterable[Sequence[int]]) -> ArcListDigraph:
@@ -129,7 +142,6 @@ def build_digraph(n: int, arcs: Iterable[Sequence[int]]) -> ArcListDigraph:
     if n < 0:
         raise InputError(f"vertex count {n} is negative")
     D: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    m = 0
     for arc in arcs:
         u, v = arc[0], arc[1]
         w = arc[2] if len(arc) > 2 else 1
@@ -141,17 +153,9 @@ def build_digraph(n: int, arcs: Iterable[Sequence[int]]) -> ArcListDigraph:
             raise InputError(f"arc ({u}, {v}): negative weight {w}")
         row = D[v]
         old = row.get(u)
-        if old is None:
+        if old is None or w < old:
             row[u] = w
-            m += 1
-        elif w < old:
-            row[u] = w
-    return ArcListDigraph(
-        n=n,
-        m=m,
-        D=tuple(D),
-        md=max((len(row) for row in D), default=0),
-    )
+    return ArcListDigraph(n=n, D=tuple(D))
 
 
 def underlying_graph(dg: ArcListDigraph) -> Graph:
@@ -171,8 +175,7 @@ def induced_subgraph(G: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     for v in chosen:
         _check_vertex(v, G.n, "induced_subgraph")
     ids = sorted(chosen)
-    adj = tuple(local_adjacency(G, ids))
-    return Graph(n=len(ids), m=sum(map(len, adj)) // 2, adj=adj), tuple(ids)
+    return Graph(n=len(ids), adj=tuple(local_adjacency(G, ids))), tuple(ids)
 
 
 def local_adjacency(G: Graph, ids: Sequence[int]) -> list[tuple[int, ...]]:
@@ -188,25 +191,25 @@ def local_adjacency(G: Graph, ids: Sequence[int]) -> list[tuple[int, ...]]:
     return [()] + [tuple([j for w in G.adj[v] if (j := get(w))]) for v in ids]
 
 
+def _reach(adj: Sequence[Sequence[int]], free: list[bool], found: list[int]) -> list[int]:
+    """Mark not free every free vertex reachable from found, whose vertices
+    are not free, and append it to found, breadth-first.  Returns found."""
+    for v in found:  # the loop reads the vertices appended behind it too
+        for w in adj[v]:
+            if free[w]:
+                free[w] = False
+                found.append(w)
+    return found
+
+
 def connected_components(G: Graph) -> list[list[int]]:
     """Connected components (sorted vertex lists) of G."""
-    seen = [False] * (G.n + 1)
+    free = [True] * (G.n + 1)
     comps: list[list[int]] = []
     for s in range(1, G.n + 1):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for w in G.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comp.sort()
-        comps.append(comp)
+        if free[s]:
+            free[s] = False
+            comps.append(sorted(_reach(G.adj, free, [s])))
     return comps
 
 
@@ -214,18 +217,9 @@ def is_connected(G: Graph) -> bool:
     """True if one search from vertex 1 reaches all n vertices."""
     if G.n <= 1:
         return True
-    adj = G.adj
-    seen = [False] * (G.n + 1)
-    seen[1] = True
-    stack = [1]
-    reached = 1
-    while stack:
-        for w in adj[stack.pop()]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-                reached += 1
-    return reached == G.n
+    free = [True] * (G.n + 1)
+    free[1] = False
+    return len(_reach(G.adj, free, [1])) == G.n
 
 
 def neighbour_masks(G: Graph) -> list[int]:

@@ -4,7 +4,8 @@ This module is the project's ground truth: grad(G, r) maximizes
 |E(G/P)| / |P| over every family P of pairwise disjoint balls of radius
 at most r, by exhaustive enumeration.  Values are exact rationals.
 evaluate_family scores a single family, which certifies a lower bound on
-graphs too large for the full search.
+graphs too large for the full search.  grad's balls are the connected
+sets of core.connected_sets (singletons at r = 0) of radius at most r.
 
 Exactness matters here, speed does not; sizes are capped accordingly.
 """
@@ -109,34 +110,22 @@ def grad(G: Graph, r: int, *, limit: int | None = None) -> GradValue:
     if n == 0:
         return GradValue(Fraction(0), BallFamily((), ()))
 
+    # each ball: its mask, its outside neighbours' mask, and its index at each vertex
     adjm = neighbour_masks(G)
-    if r == 0:
-        ball_masks = [1 << i for i in range(n)]
-    else:
-        nbrs = [[w - 1 for w in row] for row in G.adj[1:]]
-        ball_masks = [
-            sum(1 << i for i in S)
-            for S in connected_sets(nbrs, n)
-            if induced_radius(G, [i + 1 for i in S]) <= r
-        ]
-
-    ball_nbrs = []
-    for S in ball_masks:
-        nb = 0
-        rest = S
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            nb |= adjm[low.bit_length() - 1]
-        ball_nbrs.append(nb & ~S)
-
+    nbrs = [[w - 1 for w in row] for row in G.adj[1:]]
+    ball_masks: list[int] = []
+    ball_nbrs: list[int] = []
     balls_at: list[list[int]] = [[] for _ in range(n)]
-    for bi, S in enumerate(ball_masks):
-        rest = S
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            balls_at[low.bit_length() - 1].append(bi)
+    for S in connected_sets(nbrs, n if r else 1):
+        if induced_radius(G, [i + 1 for i in S]) > r:
+            continue
+        mask = nb = 0
+        for i in S:
+            mask |= 1 << i
+            nb |= adjm[i]
+            balls_at[i].append(len(ball_masks))
+        ball_masks.append(mask)
+        ball_nbrs.append(nb & ~mask)
 
     # Depth-first search over families: at the lowest undecided vertex,
     # either leave it out of every ball or start a ball containing it.

@@ -353,11 +353,5 @@ def naive_step(
         for (src, dst, _) in fdg.arcs():
             rows[dst][src] = frat[(min(src, dst), max(src, dst))]
 
-    new = ArcListDigraph(
-        n=n,
-        m=sum(len(row) for row in rows),
-        D=tuple(rows),
-        md=max((len(row) for row in rows), default=0),
-    )
-    return new, (trans_added, len(leftover), frat_delta_max)
+    return ArcListDigraph(n=n, D=tuple(rows)), (trans_added, len(leftover), frat_delta_max)
 

@@ -99,10 +99,4 @@ def orient(G: Graph) -> tuple[ArcListDigraph, DegeneracyOrder]:
         for w in adj[v]:
             if not removed[w]:
                 row[w] = 1
-    dg = ArcListDigraph(
-        n=n,
-        m=G.m,
-        D=tuple(D),
-        md=max((len(row) for row in D), default=0),
-    )
-    return dg, peel
+    return ArcListDigraph(n=n, D=tuple(D)), peel

@@ -22,7 +22,8 @@ so only it is followed: each split costs the ball it grows plus the
 pieces it cuts away, not a search of all that is left.
 Every piece cut away is a component of the final G - S, so the largest
 component fraction comes from the sizes ball growing counts as it cuts,
-without another search of G - S.
+without another search of G - S.  It marks the pieces with core's one
+marking search, and choose_z and _zeta share one search over ranks.
 
 Both outcomes carry machine-checkable certificates; validate() re-checks
 them from scratch.  For a separator it needs only the size of the largest
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
-from .core import Graph, induced_radius, is_connected
+from .core import Graph, _reach, induced_radius, is_connected
 from .errors import DisconnectedError, DomainError, InputError, InvalidFamilyError
 from .gradoracle import ball_family, evaluate_family
 
@@ -180,19 +181,6 @@ def _greedy_minor(
     return nodes, pair_edges
 
 
-def _kill(adj: tuple[tuple[int, ...], ...], alive: list[bool], stack: list[int]) -> int:
-    """Mark dead every live vertex reachable from stack, whose vertices
-    are dead already.  Returns how many it marked."""
-    killed = 0
-    while stack:
-        for w in adj[stack.pop()]:
-            if alive[w]:
-                alive[w] = False
-                stack.append(w)
-                killed += 1
-    return killed
-
-
 def _drop_pieces(adj: tuple[tuple[int, ...], ...], alive: list[bool], seeds: list[int]) -> int:
     """Mark dead the pieces of live vertices that hold the seeds, one
     search per piece.  Returns the size of the largest, 0 if none."""
@@ -200,7 +188,7 @@ def _drop_pieces(adj: tuple[tuple[int, ...], ...], alive: list[bool], seeds: lis
     for s in seeds:
         if alive[s]:
             alive[s] = False
-            largest = max(largest, 1 + _kill(adj, alive, [s]))
+            largest = max(largest, len(_reach(adj, alive, [s])))
     return largest
 
 
@@ -275,7 +263,7 @@ def _keep_big_piece(
             alive[v] = False
     for r in active:
         if r != keep:
-            _kill(adj, alive, todo[r])
+            _reach(adj, alive, todo[r])
     return sizes[keep], rest
 
 
@@ -523,15 +511,27 @@ def parse_expansion(text: str) -> Callable[[int], float]:
     return f
 
 
+def _last_rank(limit: int, holds: Callable[[int], bool]) -> int:
+    """Greatest rank r in 1..limit with holds(r), 0 if none, for a
+    predicate that holds on a prefix of the ranks: a galloping search over
+    ranks 1, 2, 4, ... then bisection, so holds is read O(log r) times."""
+    lo, hi = 0, 1  # holds(lo) or lo = 0; holds(hi) fails or hi > limit
+    while hi <= limit and holds(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, limit + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
 def choose_z(n: int, f: Callable[[int], float]) -> int:
-    """Largest z >= 1 with 2 z (f(z) + 2) <= sqrt(n log2 n); 0 if none."""
+    """Largest z in 1..n with 2 z (f(z) + 2) <= sqrt(n log2 n); 0 if none.
+    For a nondecreasing f >= 0 the bound n never binds (4 n > sqrt(n log2 n))."""
     if n < 2:
         raise DomainError(f"choose_z needs n >= 2, got {n}")
     target = math.sqrt(n * math.log2(n))
-    z = 0
-    while 2 * (z + 1) * (f(z + 1) + 2) <= target:
-        z += 1
-    return z
+    return _last_rank(n, lambda z: 2 * z * (f(z) + 2) <= target)
 
 
 @dataclass(frozen=True)
@@ -556,21 +556,9 @@ class SublinearReport:
 
 def _zeta(n: int, f: Callable[[int], float]) -> int:
     """Greatest integer zeta <= n with log2 f(zeta) < log2(n) / 3 (0 if
-    none), for a nondecreasing f: a galloping search over ranks 1, 2, 4,
-    ... then bisection, so f is read O(log zeta) times."""
+    none), for a nondecreasing f, found by the search of choose_z."""
     limit = math.log2(n) / 3 if n >= 2 else 0.0
-
-    def below(r: int) -> bool:
-        return math.log2(max(f(r), 1e-300)) < limit
-
-    lo, hi = 0, 1  # below(lo) holds or lo = 0; below(hi) fails or hi > n
-    while hi <= n and below(hi):
-        lo, hi = hi, 2 * hi
-    hi = min(hi, n + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if below(mid) else (lo, mid)
-    return lo
+    return _last_rank(n, lambda r: math.log2(max(f(r), 1e-300)) < limit)
 
 
 def sublinear_separator(
@@ -588,8 +576,8 @@ def sublinear_separator(
     z, so a returned witness shows a depth-z K_h minor with
     h = floor(f(z) + 2), contradicting the declared bound.
     The report then flags the violation instead of failing.  An f(z)
-    that is not finite raises DomainError; a disconnected G with n >= 2
-    raises DisconnectedError from separate_or_minor.
+    that is not finite or is negative raises DomainError; a disconnected
+    G with n >= 2 raises DisconnectedError from separate_or_minor.
     """
     n = G.n
     if n <= 1:
@@ -609,6 +597,8 @@ def sublinear_separator(
     fz = f(z)
     if not math.isfinite(fz):
         raise DomainError(f"expansion bound f({z}) = {fz} is not finite")
+    if fz < 0:
+        raise DomainError(f"expansion bound f({z}) = {fz} is negative")
     h = int(fz + 2)
     budget = min(z, int(l * log2n))
     outcome = separate_or_minor(

@@ -248,6 +248,11 @@ def _rows(dg):
     return [list(row.items()) for row in dg.D]
 
 
+def _sizes_off_rows(dg):
+    """(arcs, maximum indegree), counted off the rows."""
+    return sum(map(len, dg.D)), max(map(len, dg.D), default=0)
+
+
 @settings(deadline=None)
 @given(raw_graphs(max_n=30, max_m=60))
 # small graphs on which a step goes wrong if its delta leaves out lowered
@@ -263,17 +268,19 @@ def _rows(dg):
 def test_semi_naive_steps_match_naive_chain(G):
     # every row of every step, in order and weight, and every counter, must
     # be what the full step of gradkit.oracles builds from the previous
-    # naive digraph
+    # naive digraph; m and md of both are the counts read off their rows
     for d in (None, 1, 2, 3, 4, 5):
         for c in range(1, 6):
             trace = augment(G, c, drop_above=d)
             dg = orient(G)[0]
             assert _rows(trace.steps[0]) == _rows(dg)
+            assert (dg.m, dg.md) == _sizes_off_rows(dg) and dg.m == len(G.edges)
             for i in range(c):
                 dg, stats = naive_step(dg, d)
                 got = trace.steps[i + 1]
                 assert _rows(got) == _rows(dg), (d, c, i + 1)
-                assert (got.m, got.md) == (dg.m, dg.md)
+                assert (got.m, got.md) == _sizes_off_rows(got)
+                assert (dg.m, dg.md) == _sizes_off_rows(dg)
                 assert (
                     trace.transitivity_added[i],
                     trace.fraternity_added[i],

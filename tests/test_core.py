@@ -67,15 +67,25 @@ def test_build_graph_out_of_range():
 )
 def test_build_graph_matches_reference(case, data):
     # the drawn pairs repeat, hold loops and come in both orientations.  A
-    # Graph stores n, m and adj; edges is read off adj when first asked for
-    # and kept, and reading it changes neither equality nor the hash
+    # Graph stores n and adj only; m and edges are read off adj when first
+    # asked for and kept, and reading them changes neither equality nor
+    # the hash.  A digraph stores n and D only, and its m and md are read
+    # off the rows
     n, pairs = case
     G = build_graph(n, pairs)
     twin = build_graph(n, pairs)
     want = tuple(sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
-    assert "edges" not in vars(G)
-    assert G.edges == want and G.m == len(want)
+    assert "edges" not in vars(G) and "m" not in vars(G)
+    assert G.m == len(want) and "edges" not in vars(G)
+    assert G.edges == want and G.m == len(G.edges)
     assert vars(G)["edges"] is G.edges
+    arcs = [(u, v) for u, v in pairs if u != v]
+    heads = [v for _, v in set(arcs)]
+    for dg in (build_digraph(n, arcs), orient(G)[0]):
+        assert dg.m == sum(map(len, dg.D)) and dg.md == max(map(len, dg.D), default=0)
+    dg = build_digraph(n, arcs)
+    assert (dg.m, dg.md) == (len(heads), max(map(heads.count, range(1, n + 1))))
+    assert orient(G)[0].m == len(G.edges)
     for v in range(1, n + 1):
         assert G.adj[v] == tuple(sorted({a + b - v for a, b in want if v in (a, b)}))
     assert G.adj[0] == ()
@@ -87,7 +97,7 @@ def test_build_graph_matches_reference(case, data):
     index = {v: i for i, v in enumerate(ids, 1)}
     sub_want = tuple((index[u], index[v]) for u, v in want if u in index and v in index)
     assert "edges" not in vars(sub)
-    assert sub.edges == sub_want and sub.m == len(sub_want)
+    assert sub.m == len(sub_want) and sub.edges == sub_want and sub.m == len(sub.edges)
     assert again == sub and hash(again) == hash(sub)
 
 

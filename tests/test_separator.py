@@ -1,5 +1,6 @@
 import hashlib
 import math
+import signal
 import time
 import types
 from fractions import Fraction
@@ -385,7 +386,19 @@ def _zeta_by_scan(n, f):
     return z
 
 
+def _choose_z_by_scan(n, f):
+    """Reference: the greatest z with 2 z (f(z) + 2) <= sqrt(n log2 n) at
+    every rank 1..z, found by reading f at each rank in turn."""
+    target = math.sqrt(n * math.log2(n))
+    z = 0
+    while 2 * (z + 1) * (f(z + 1) + 2) <= target:
+        z += 1
+    return z
+
+
 def test_zeta_matches_linear_scan():
+    # choose_z and _zeta share one rank search; each must find what its
+    # linear scan finds
     bounds = [
         parse_expansion(spec)
         for spec in ("const:3", "const:0.5", "poly:2,1", "poly:0.5,2", "exp:2", "exp:1",
@@ -393,21 +406,49 @@ def test_zeta_matches_linear_scan():
     ]
     bounds.append(lambda r: 1.5 * math.sqrt(r))
     for f in bounds:
-        for n in range(2, 301):
+        for n in [*range(2, 301), 10**3, 10**4, 10**5, 10**6]:
+            assert choose_z(n, f) == _choose_z_by_scan(n, f), (n, f)
             assert _zeta(n, f) == _zeta_by_scan(n, f), (n, f)
 
 
 def test_zeta_reads_the_bound_logarithmically_often():
     n = 10**6
     f = parse_expansion("const:3")
-    calls = []
+    # log2 3 < log2(10^6) / 3 at every rank, and 2 z (3 + 2) <= 4464.5 up to z = 446
+    for search, want in ((_zeta, n), (choose_z, 446)):
+        calls = []
 
-    def counted(r):
-        calls.append(r)
-        return f(r)
+        def counted(r):
+            calls.append(r)
+            return f(r)
 
-    assert _zeta(n, counted) == n  # log2 3 < log2(10^6) / 3 at every rank
-    assert len(calls) <= 2 * math.log2(n) + 4, len(calls)
+        assert search(n, counted) == want
+        assert len(calls) <= 2 * math.log2(n) + 4, (search, len(calls))
+
+
+def _within(seconds, call):
+    """call(), or TimeoutError once seconds of wall time have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_negative_bound_raises_domain_error_promptly():
+    # f + 2 <= 0 holds choose_z's inequality at every rank, so its search
+    # stops at n; a negative f(z) is no bound on grad and is named
+    assert _within(10, lambda: choose_z(100, lambda r: -5)) == 100
+    G = grid(10, 10)
+    for value in (-5, -1):
+        with pytest.raises(DomainError, match=rf"f\(\d+\) = {value} is negative"):
+            _within(10, lambda: sublinear_separator(G, lambda r: value))
 
 
 def test_sublinear_separator_takes_a_plain_function():
